@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 from . import moments, skewdet, symchar, zeta
 from .moments import DistributionFormatError, TheoremViolationError
-from .numutil import THREADS_ENV_VAR
+from .numutil import THREADS_ENV_VAR, resolve_threads, to_json
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    subcommand: str
     fmt: str
     out_path: str | None
     seed: int
@@ -50,7 +49,10 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 def _emit(payload: dict, cfg: RunConfig):
-    text = _render(payload, cfg.fmt)
+    _write(_render(payload, cfg.fmt), cfg)
+
+
+def _write(text: str, cfg: RunConfig):
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -67,7 +69,7 @@ def _zeta_cfg(args) -> zeta.ZetaEvalConfig:
 def _cmd_theorem_check(args, cfg: RunConfig) -> int:
     dist = moments.load_distribution_csv(args.input)
     report = moments.verify_theorem(dist, args.b or [])
-    _emit(report.to_json_dict(), cfg)
+    _emit(to_json(report), cfg)
     if args.enforce and not all(c.holds for c in report.checks):
         return 1
     return 0
@@ -83,7 +85,7 @@ def _cmd_zeta_moments(args, cfg: RunConfig) -> int:
         convergence_check=not args.no_convergence_check,
         threads=cfg.threads,
     )
-    _emit(est.to_json_dict(), cfg)
+    _emit(to_json(est), cfg)
     return 0
 
 
@@ -96,7 +98,7 @@ def _cmd_zeta_tail(args, cfg: RunConfig) -> int:
         cfg=_zeta_cfg(args),
         threads=cfg.threads,
     )
-    _emit(report.to_json_dict(), cfg)
+    _emit(to_json(report), cfg)
     if args.enforce and not report.holds:
         return 1
     return 0
@@ -104,7 +106,7 @@ def _cmd_zeta_tail(args, cfg: RunConfig) -> int:
 
 def _cmd_skewdet_enum(args, cfg: RunConfig) -> int:
     stats = skewdet.enumerate_stats(args.n, args.convention)
-    payload = stats.to_json_dict()
+    payload = to_json(stats)
     if args.convention == "zero" and args.n % 2 == 1:
         payload["note"] = "odd n with zero diagonal: every determinant is 0"
     _emit(payload, cfg)
@@ -116,7 +118,7 @@ def _cmd_skewdet_mc(args, cfg: RunConfig) -> int:
         args.n, args.samples, seed=args.seed, convention=args.convention,
         threads=cfg.threads,
     )
-    _emit(stats.to_json_dict(), cfg)
+    _emit(to_json(stats), cfg)
     return 0
 
 
@@ -124,7 +126,7 @@ def _cmd_skewdet_search(args, cfg: RunConfig) -> int:
     result = skewdet.search_high_det(
         args.n, args.budget, seed=args.seed, convention=args.convention
     )
-    _emit(result.to_json_dict(), cfg)
+    _emit(to_json(result), cfg)
     return 0
 
 
@@ -134,11 +136,13 @@ def _symchar_report_payload(n: int, eps: float) -> dict:
     asym = symchar.max_degree_asym_bound(n, eps)
     xi = symchar.xi_moments(n)
     max_deg = table.max_degree
-    payload = table.to_json_dict()
+    payload = to_json(table)
     payload.update(
         {
+            "row_count": len(table.rows),
+            "max_degree": str(max_deg),
             "eps": eps,
-            "second_moment_bound": bound.to_json_dict(),
+            "second_moment_bound": {**to_json(bound), "value": bound.value},
             "bound_satisfied": max_deg * bound.denominator >= bound.numerator,
             "asym_bound_log": asym.log,
             "asym_bound_value": asym.value,
@@ -146,7 +150,7 @@ def _symchar_report_payload(n: int, eps: float) -> dict:
                 None if asym.log == -math.inf
                 else math.exp(math.log(max_deg) - asym.log)
             ),
-            "xi_moments": xi.to_json_dict(),
+            "xi_moments": to_json(xi),
             "p_asym_to_exact_ratio": symchar.p_asym(n) / xi.p_n,
             "involutions_asym_to_exact_ratio": math.exp(
                 symchar.involutions_asym(n).log - math.log(xi.t_n)
@@ -168,18 +172,13 @@ def _cmd_symchar_table(args, cfg: RunConfig) -> int:
     table = symchar.degree_table(args.n)
     lines = ["partition,degree\n"]
     lines += [f"{lam},{d}\n" for lam, d in table.rows]
-    text = "".join(lines)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("".join(lines), cfg)
     return 0
 
 
 def _cmd_repro(args, cfg: RunConfig) -> int:
     zeta_reports = [
-        zeta.tail_moment_report(T, H, threads=cfg.threads).to_json_dict()
+        to_json(zeta.tail_moment_report(T, H, threads=cfg.threads))
         for T, H in ((500.0, 500.0), (1000.0, 1000.0))
     ]
 
@@ -188,14 +187,14 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
     mc10 = skewdet.mc_stats(10, 20000, seed=cfg.seed, threads=cfg.threads)
     search10 = skewdet.search_high_det(10, budget=2000, seed=cfg.seed)
     skew_payload = {
-        "enum_n6": enum6.to_json_dict(),
+        "enum_n6": to_json(enum6),
         "second_moment_bound_n6": det_bound,
         "bound_satisfied_n6": enum6.max_abs_det >= det_bound * (1 - 1e-6),
         "s1_asym_ratio_n6": enum6.s1 / skewdet.szekeres_s1_asym(6).value,
         "s2_asym_ratio_n6": enum6.s2 / skewdet.szekeres_s2_asym(6).value,
         "existence_bound_log_n6": skewdet.det_existence_bound(6).log,
-        "mc_n10": mc10.to_json_dict(),
-        "search_n10": search10.to_json_dict(),
+        "mc_n10": to_json(mc10),
+        "search_n10": to_json(search10),
     }
 
     payload = {
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repro = sub.add_parser("repro", parents=[common],
                              help="run all three case studies with pinned defaults")
-    p_repro.set_defaults(func=_cmd_repro, subcommand="repro")
+    p_repro.set_defaults(func=_cmd_repro)
 
     return parser
 
@@ -301,13 +300,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = RunConfig(
-        subcommand=f"{args.command} {getattr(args, 'subcommand', '')}".strip(),
         fmt=args.fmt,
         out_path=args.out_path,
         seed=args.seed,
         threads=args.threads,
     )
     try:
+        # rejects a bad --threads or $MTL_THREADS whether or not the command uses it
+        resolve_threads(args.threads)
         return args.func(args, cfg)
     except DistributionFormatError as exc:
         print(f"error: malformed distribution CSV: {exc}", file=sys.stderr)

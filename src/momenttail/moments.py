@@ -9,7 +9,7 @@ counterexample.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .numutil import compensated_sum
@@ -89,7 +89,7 @@ class EmpiricalDistribution:
 class TailCheck:
     b: float
     tail: float
-    lower_bound: float  # a - b
+    lower_bound: float = field(metadata={"key": "bound"})  # a - b
     holds: bool
 
 
@@ -102,20 +102,9 @@ class TheoremReport:
     """
 
     a: float
-    max_value: float
+    max_value: float = field(metadata={"key": "max"})
     degenerate: bool
     checks: tuple[TailCheck, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "max": self.max_value,
-            "degenerate": self.degenerate,
-            "checks": [
-                {"b": c.b, "tail": c.tail, "bound": c.lower_bound, "holds": c.holds}
-                for c in self.checks
-            ],
-        }
 
 
 def normalize(dist: EmpiricalDistribution) -> EmpiricalDistribution:
@@ -222,8 +211,10 @@ def load_distribution_csv(source: str | IO[str]) -> EmpiricalDistribution:
         raise DistributionFormatError(1, f"expected header `value,weight`, got {header}")
 
     pairs = []
+    blanks_at = []  # len(pairs) at each skipped blank row, to map pairs back to lines
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
+            blanks_at.append(len(pairs))
             continue
         if len(row) != 2:
             raise DistributionFormatError(line_no, f"expected 2 fields, got {len(row)}")
@@ -240,4 +231,15 @@ def load_distribution_csv(source: str | IO[str]) -> EmpiricalDistribution:
     try:
         return EmpiricalDistribution.from_pairs(pairs)
     except ValueError as exc:
-        raise DistributionFormatError(2, str(exc)) from None
+        # only the error path pays for finding the first row rejected on its own
+        bad = next(i for i, pair in enumerate(pairs) if not _accepted(pair))
+        line = 2 + bad + sum(n <= bad for n in blanks_at)
+        raise DistributionFormatError(line, str(exc)) from None
+
+
+def _accepted(pair: tuple[float, float]) -> bool:
+    try:
+        EmpiricalDistribution.from_pairs([pair])
+    except ValueError:
+        return False
+    return True

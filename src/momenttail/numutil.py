@@ -1,10 +1,13 @@
-"""Shared numeric helpers: compensated sums, log-space values, thread resolution."""
+"""Shared helpers: compensated sums, log-space values, thread resolution,
+chunked execution and report serialization."""
 
+import dataclasses
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 THREADS_ENV_VAR = "MTL_THREADS"
 
@@ -72,3 +75,46 @@ def resolve_threads(threads: int | None = None) -> int:
             raise ValueError(f"{THREADS_ENV_VAR} must be >= 1")
         return val
     return 1
+
+
+def chunked_map(fn: Callable, chunks: Sequence[tuple], threads: int | None = None) -> list:
+    """[fn(*c) for c in chunks], in chunk order.
+
+    Runs on min(resolve_threads(threads), len(chunks), cpu count) worker
+    threads, serially when that is 1.  Callers make each chunk's result
+    depend only on the chunk, so the output never depends on the worker count.
+    """
+    workers = min(resolve_threads(threads), len(chunks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(*c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *c) for c in chunks]
+        return [f.result() for f in futures]
+
+
+def to_json(obj):
+    """JSON-ready form of a report: dataclasses become dicts, lists and tuples lists.
+
+    Fields are written under their own names unless their metadata says
+    otherwise:
+
+    * ``decimal``: an exact integer, written as a decimal string;
+    * ``key``: the name to write the field under;
+    * ``omit``: leave the field out;
+    * ``flatten``: merge the field's own dict into this one.
+    """
+    if isinstance(obj, (list, tuple)):
+        return [to_json(item) for item in obj]
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    out = {}
+    for f in dataclasses.fields(obj):
+        meta = f.metadata
+        if meta.get("omit"):
+            continue
+        value = to_json(getattr(obj, f.name))
+        if meta.get("flatten"):
+            out.update(value)
+        else:
+            out[meta.get("key", f.name)] = str(value) if meta.get("decimal") else value
+    return out

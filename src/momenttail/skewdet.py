@@ -9,13 +9,12 @@ faithfully, and the mean identities checked downstream are exact.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .numutil import LogReal, log_factorial, resolve_threads
+from .numutil import LogReal, chunked_map, log_factorial
 
 ENUM_LIMIT = 8
 MC_CHUNK = 4096
@@ -145,9 +144,9 @@ class DetStats:
     count: int
     s1: float
     s2: float
-    sum_absdet: int
-    sum_det2: int
-    max_abs_det: int
+    sum_absdet: int = field(metadata={"decimal": True})
+    sum_det2: int = field(metadata={"decimal": True})
+    max_abs_det: int = field(metadata={"decimal": True})
     stderr_s1: float | None = None
     stderr_s2: float | None = None
     seed: int | None = None
@@ -158,22 +157,6 @@ class DetStats:
         # power-mean ordering is unconditional; violation means broken accumulators
         if self.s2 < self.s1 * (1 - 1e-12):
             raise ValueError("s2 < s1 violates the power-mean inequality")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "convention": self.convention,
-            "count": self.count,
-            "s1": self.s1,
-            "s2": self.s2,
-            "sum_absdet": str(self.sum_absdet),
-            "sum_det2": str(self.sum_det2),
-            "max_abs_det": str(self.max_abs_det),
-            "stderr_s1": self.stderr_s1,
-            "stderr_s2": self.stderr_s2,
-            "seed": self.seed,
-        }
 
 
 def enumerate_stats(n: int, convention: str = "zero") -> DetStats:
@@ -250,16 +233,10 @@ def mc_stats(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     spans = [
-        (i, min(MC_CHUNK, samples - start))
+        (n, seed, i, min(MC_CHUNK, samples - start), convention)
         for i, start in enumerate(range(0, samples, MC_CHUNK))
     ]
-    n_workers = resolve_threads(threads)
-    if n_workers == 1 or len(spans) <= 1:
-        parts = [_mc_chunk(n, seed, i, size, convention) for i, size in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_mc_chunk, n, seed, i, size, convention) for i, size in spans]
-            parts = [f.result() for f in futures]
+    parts = chunked_map(_mc_chunk, spans, threads)
 
     sum_abs = sum(p[0] for p in parts)
     sum_d2 = sum(p[1] for p in parts)
@@ -355,22 +332,11 @@ def second_moment_det_bound(stats: DetStats) -> float:
 class SearchResult:
     """Best matrix found by sign-flip hill climbing."""
 
-    matrix: SkewSignMatrix
-    abs_det: int
+    matrix: SkewSignMatrix = field(metadata={"flatten": True})
+    abs_det: int = field(metadata={"decimal": True})
     evaluations: int
     ratio_to_existence_bound: float
     ratio_to_s1_asym: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.matrix.n,
-            "convention": self.matrix.convention,
-            "upper": list(self.matrix.upper),
-            "abs_det": str(self.abs_det),
-            "evaluations": self.evaluations,
-            "ratio_to_existence_bound": self.ratio_to_existence_bound,
-            "ratio_to_s1_asym": self.ratio_to_s1_asym,
-        }
 
 
 def search_high_det(

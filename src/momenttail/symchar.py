@@ -10,7 +10,7 @@ they carry no error rate.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -159,22 +159,13 @@ class DegreeTable:
     """All degrees for one n, with exact totals."""
 
     n: int
-    rows: tuple[tuple[Partition, int], ...]
-    sum_degrees: int
-    sum_degree_squares: int
+    rows: tuple[tuple[Partition, int], ...] = field(metadata={"omit": True})
+    sum_degrees: int = field(metadata={"decimal": True})
+    sum_degree_squares: int = field(metadata={"decimal": True})
 
     @property
     def max_degree(self) -> int:
         return max(d for _, d in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "row_count": len(self.rows),
-            "sum_degrees": str(self.sum_degrees),
-            "sum_degree_squares": str(self.sum_degree_squares),
-            "max_degree": str(self.max_degree),
-        }
 
 
 def degree_table(n: int) -> DegreeTable:
@@ -200,8 +191,8 @@ class XiMoments:
     """
 
     n: int
-    p_n: int
-    t_n: int
+    p_n: int = field(metadata={"decimal": True})
+    t_n: int = field(metadata={"decimal": True})
     e_xi: float
     e_xi_log: float
     e_xi2: float
@@ -213,19 +204,6 @@ class XiMoments:
         # Cauchy-Schwarz, checked in exact integer form: p(n) n! >= t(n)^2
         if self.p_n * factorial(self.n) < self.t_n * self.t_n:
             raise ValueError("moment pair violates Cauchy-Schwarz")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p_n": str(self.p_n),
-            "t_n": str(self.t_n),
-            "e_xi": self.e_xi,
-            "e_xi_log": self.e_xi_log,
-            "e_xi2": self.e_xi2,
-            "e_xi2_log": self.e_xi2_log,
-            "e_xi_asym": self.e_xi_asym,
-            "e_xi2_asym": self.e_xi2_asym,
-        }
 
 
 def xi_moments(n: int) -> XiMoments:
@@ -260,8 +238,8 @@ class DegreeBound:
     """The existence bound n!/t(n) for the maximal degree, exact and in logs."""
 
     n: int
-    numerator: int
-    denominator: int
+    numerator: int = field(metadata={"decimal": True})
+    denominator: int = field(metadata={"decimal": True})
     log: float
 
     @property
@@ -272,15 +250,6 @@ class DegreeBound:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "numerator": str(self.numerator),
-            "denominator": str(self.denominator),
-            "log": self.log,
-            "value": self.value,
-        }
 
 
 def second_moment_degree_bound(n: int) -> DegreeBound:

@@ -17,13 +17,13 @@ distribution, where it is exact.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .moments import CHECK_TOL, EmpiricalDistribution, moment, tail_second_moment
-from .numutil import compensated_dot, resolve_threads
+from .numutil import chunked_map, compensated_dot
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -128,16 +128,11 @@ def _psi(p) -> np.ndarray:
     return np.where(p <= 0.5, low, high)
 
 
-_C1_CHEB = None
-
-
+@cache
 def _c1_series():
     """Chebyshev form of the second correction term -psi'''(p)/(96 pi^2)."""
-    global _C1_CHEB
-    if _C1_CHEB is None:
-        cheb = np.polynomial.chebyshev.Chebyshev.interpolate(_psi, 80, domain=[0.0, 1.0])
-        _C1_CHEB = cheb.deriv(3) * (-1.0 / (96.0 * math.pi**2))
-    return _C1_CHEB
+    cheb = np.polynomial.chebyshev.Chebyshev.interpolate(_psi, 80, domain=[0.0, 1.0])
+    return cheb.deriv(3) * (-1.0 / (96.0 * math.pi**2))
 
 
 def zeta_abs_riemann_siegel(ts, correction_terms: int = 2) -> np.ndarray:
@@ -188,27 +183,15 @@ def zeta_abs_grid(
 ) -> np.ndarray:
     """|zeta(1/2+it)| on an array of points, routed by cfg.t_switch.
 
-    Work is partitioned into fixed chunks; each chunk writes its own slice, so
-    the result is identical for any worker count.
+    Work is partitioned into fixed chunks, evaluated independently and joined
+    in order, so the result is identical for any worker count.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts < 0):
         raise ValueError("t must be non-negative")
-    n_workers = resolve_threads(threads)
-    chunks = [(i, ts[i : i + _EVAL_CHUNK]) for i in range(0, ts.size, _EVAL_CHUNK)]
-    out = np.empty_like(ts)
-    if n_workers == 1 or len(chunks) <= 1:
-        for start, chunk in chunks:
-            out[start : start + chunk.size] = _eval_grid(chunk, cfg)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                (start, chunk.size, pool.submit(_eval_grid, chunk, cfg))
-                for start, chunk in chunks
-            ]
-            for start, size, fut in futures:
-                out[start : start + size] = fut.result()
-    return out
+    chunks = [(ts[i : i + _EVAL_CHUNK], cfg) for i in range(0, ts.size, _EVAL_CHUNK)]
+    parts = chunked_map(_eval_grid, chunks, threads)
+    return np.concatenate(parts) if parts else np.empty_like(ts)
 
 
 def zeta_abs(t: float, cfg: ZetaEvalConfig = DEFAULT_CONFIG) -> float:
@@ -257,19 +240,6 @@ class MomentEstimate:
             raise ValueError("need at least 2 nodes")
         if self.value < 0:
             raise ValueError("moment cannot be negative")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "H": self.H,
-            "k": self.k,
-            "value": self.value,
-            "nodes": self.nodes,
-            "step": self.step,
-            "halved_value": self.halved_value,
-            "convergence_delta": self.convergence_delta,
-            "coarse_step_warning": self.coarse_step_warning,
-        }
 
 
 def _simpson_grid(T: float, H: float, step: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -377,36 +347,6 @@ class TailMomentReport:
             raise ValueError("restricted fourth moment exceeds the full moment")
         if self.measure_of_set > self.H * (1 + 1e-9):
             raise ValueError("restricted set measure exceeds the window length")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "H": self.H,
-            "c_threshold": self.c_threshold,
-            "threshold": self.threshold,
-            "restricted_fourth": self.restricted_fourth,
-            "measure_of_set": self.measure_of_set,
-            "a": self.a,
-            "b": self.b,
-            "bound": self.bound,
-            "tail": self.tail,
-            "holds": self.holds,
-            "degenerate": self.degenerate,
-            "e_xi": self.e_xi,
-            "second_moment": self.second_moment,
-            "fourth_moment": self.fourth_moment,
-            "coeff_low": self.coeff_low,
-            "coeff_high": self.coeff_high,
-            "restricted_fourth_low": self.restricted_fourth_low,
-            "measure_low": self.measure_low,
-            "restricted_fourth_high": self.restricted_fourth_high,
-            "measure_high": self.measure_high,
-            "fourth_leading_target": self.fourth_leading_target,
-            "restricted_to_target_ratio": self.restricted_to_target_ratio,
-            "h_at_least_t23": self.h_at_least_t23,
-            "nodes": self.nodes,
-            "step": self.step,
-        }
 
 
 def _restricted(w, z, z4, cutoff) -> tuple[float, float]:

@@ -84,6 +84,32 @@ class TestFlagHandling:
             cli.main(argv)
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theorem", "check", "--input", "/nonexistent.csv"],
+            ["zeta", "moments", "--T", "40", "--H", "20", "--k", "2"],
+            ["zeta", "tail", "--T", "500", "--H", "50"],
+            ["skewdet", "enum", "--n", "3"],
+            ["skewdet", "mc", "--n", "3", "--samples", "100"],
+            ["skewdet", "search", "--n", "3", "--budget", "5"],
+            ["symchar", "report", "--n", "3"],
+            ["symchar", "table", "--n", "3"],
+            ["repro"],
+        ],
+    )
+    @pytest.mark.parametrize("threads, env", [("0", None), (None, "junk"), (None, "0")])
+    def test_bad_threads_exits_2_everywhere(self, capsys, monkeypatch, argv, threads, env):
+        monkeypatch.delenv("MTL_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("MTL_THREADS", env)
+        if threads is not None:
+            argv = argv + ["--threads", threads]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "threads" in err.lower()
+
     def test_bad_domain_value_exits_2(self, capsys):
         code, _, err = run(capsys, ["skewdet", "enum", "--n", "9"])
         assert code == 2

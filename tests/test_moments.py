@@ -19,6 +19,7 @@ from momenttail.moments import (
     tail_second_moment,
     verify_theorem,
 )
+from momenttail.numutil import to_json
 
 
 def dist(*pairs):
@@ -123,7 +124,7 @@ class TestVerifyTheorem:
             verify_theorem(TWO_POINT, [-0.5])
 
     def test_json_shape(self):
-        payload = verify_theorem(TWO_POINT, [1.0]).to_json_dict()
+        payload = to_json(verify_theorem(TWO_POINT, [1.0]))
         assert set(payload) == {"a", "max", "degenerate", "checks"}
         assert set(payload["checks"][0]) == {"b", "tail", "bound", "holds"}
 
@@ -230,3 +231,17 @@ class TestCsvLoading:
         with pytest.raises(DistributionFormatError) as err:
             load_distribution_csv(io.StringIO("value,weight\n1,1,9\n"))
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("value,weight\n1,1\n2,1\n3,1\n-4,1\n", 5),
+            ("value,weight\n1,1\n\n2,0\n", 4),
+            ("value,weight\n\n1,1\n\n\nnan,1\n5,1\n", 6),
+            ("value,weight\ninf,1\n", 2),
+        ],
+    )
+    def test_rejected_value_reports_its_line(self, text, line):
+        with pytest.raises(DistributionFormatError) as err:
+            load_distribution_csv(io.StringIO(text))
+        assert err.value.line == line

@@ -1,15 +1,21 @@
 """Tests for the shared numeric helpers."""
 
 import math
+import time
+from concurrent.futures import Future
+from dataclasses import dataclass, field
 
 import pytest
 
+from momenttail import numutil
 from momenttail.numutil import (
     LogReal,
+    chunked_map,
     compensated_dot,
     compensated_sum,
     log_factorial,
     resolve_threads,
+    to_json,
 )
 
 
@@ -70,3 +76,96 @@ def test_resolve_threads_env(monkeypatch):
     monkeypatch.setenv("MTL_THREADS", "junk")
     with pytest.raises(ValueError):
         resolve_threads(None)
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Swap in an executor that records max_workers and runs inline (no threads)."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(numutil, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(numutil.os, "cpu_count", lambda: 64)
+    return sizes
+
+
+def test_chunked_map_keeps_chunk_order(monkeypatch):
+    monkeypatch.setattr(numutil.os, "cpu_count", lambda: 4)
+
+    def square(i):
+        time.sleep(0.002 * (8 - i))  # early chunks finish last
+        return i * i
+
+    chunks = [(i,) for i in range(8)]
+    expected = [i * i for i in range(8)]
+    assert chunked_map(square, chunks, 1) == expected
+    assert chunked_map(square, chunks, 4) == expected
+
+
+@pytest.mark.parametrize("threads, chunks", [(1, 5), (8, 1), (8, 0)])
+def test_chunked_map_serial_without_pool(pool_sizes, threads, chunks):
+    result = chunked_map(lambda i: -i, [(i,) for i in range(chunks)], threads)
+    assert result == [-i for i in range(chunks)]
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("threads, chunks, cpus, workers", [
+    (8, 3, 64, 3),
+    (3, 10, 64, 3),
+    (8, 10, 2, 2),
+])
+def test_chunked_map_worker_cap(pool_sizes, monkeypatch, threads, chunks, cpus, workers):
+    monkeypatch.setattr(numutil.os, "cpu_count", lambda: cpus)
+    result = chunked_map(lambda i: i, [(i,) for i in range(chunks)], threads)
+    assert result == list(range(chunks))
+    assert pool_sizes == [workers]
+
+
+def test_chunked_map_rejects_bad_threads():
+    with pytest.raises(ValueError):
+        chunked_map(lambda: None, [()], 0)
+
+
+@dataclass(frozen=True)
+class _Inner:
+    x: int
+    y: str
+
+
+@dataclass(frozen=True)
+class _Report:
+    big: int = field(metadata={"decimal": True})
+    renamed: float = field(metadata={"key": "r"})
+    hidden: tuple = field(metadata={"omit": True})
+    inner: _Inner = field(metadata={"flatten": True})
+    items: tuple[_Inner, ...]
+    maybe: float | None = None
+
+
+def test_to_json_metadata_keys():
+    report = _Report(
+        big=10**30, renamed=1.5, hidden=(1, 2), inner=_Inner(3, "a"),
+        items=(_Inner(4, "b"),),
+    )
+    assert to_json(report) == {
+        "big": "1" + "0" * 30,
+        "r": 1.5,
+        "x": 3,
+        "y": "a",
+        "items": [{"x": 4, "y": "b"}],
+        "maybe": None,
+    }

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from momenttail.numutil import log_factorial
+from momenttail.numutil import log_factorial, to_json
 from momenttail.skewdet import (
     DetStats,
     SkewSignMatrix,
@@ -274,6 +274,6 @@ class TestStatsType:
 
     def test_json_uses_decimal_strings(self):
         st = enumerate_stats(4)
-        payload = st.to_json_dict()
+        payload = to_json(st)
         assert payload["sum_det2"] == str(st.sum_det2)
         assert isinstance(payload["max_abs_det"], str)
