@@ -261,10 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_skew = sub.add_parser("skewdet", help="skew sign-matrix determinant statistics")
     s_sub = p_skew.add_subparsers(dest="subcommand", required=True)
-    for name, helptext in (("enum", "exact enumeration"), ("mc", "Monte Carlo"),
-                           ("search", "hill-climb witness search")):
+    for name, helptext, n_range in (
+        ("enum", "exact enumeration", f"1..{skewdet.ENUM_LIMIT}"),
+        ("mc", "Monte Carlo", f"1..{skewdet.N_LIMIT}"),
+        ("search", "hill-climb witness search", f"2..{skewdet.N_LIMIT}"),
+    ):
         ps = s_sub.add_parser(name, parents=[common], help=helptext)
-        ps.add_argument("--n", type=int, required=True)
+        ps.add_argument("--n", type=int, required=True, help=f"matrix size, {n_range}")
         ps.add_argument("--convention", choices=("zero", "unit"), default="zero")
         if name == "mc":
             ps.add_argument("--samples", type=int, required=True)

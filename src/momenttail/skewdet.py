@@ -18,6 +18,9 @@ from .numutil import LogReal, chunked_map, log_factorial
 
 ENUM_LIMIT = 8
 MC_CHUNK = 4096
+# Hadamard: |det| <= n^(n/2) for +-1 entries, so E det^4 <= n^(2n), which stays
+# below 2^1024 (a finite float64 for the MC variance) exactly when n <= 80
+N_LIMIT = 80
 
 _CONVENTIONS = ("zero", "unit")
 
@@ -49,25 +52,20 @@ class SkewSignMatrix:
         return cls(n, upper, convention)
 
     def to_rows(self) -> list[list[int]]:
-        n = self.n
-        rows = [[0] * n for _ in range(n)]
-        if self.convention == "unit":
-            for i in range(n):
-                rows[i][i] = 1
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = self.upper[k]
-                rows[i][j] = s
-                rows[j][i] = -s
-                k += 1
-        return rows
+        signs = np.array([self.upper], dtype=np.int8)
+        return _matrices(self.n, signs, self.convention)[0].tolist()
 
-    def flip(self, index: int) -> "SkewSignMatrix":
-        """Copy with the sign at one upper-triangle slot negated."""
-        upper = list(self.upper)
-        upper[index] = -upper[index]
-        return SkewSignMatrix(self.n, tuple(upper), self.convention)
+
+def _matrices(n: int, signs: np.ndarray, convention: str) -> np.ndarray:
+    """(k, n, n) int8 matrices from a (k, m) block of upper-triangle signs, in
+    np.triu_indices slot order (row-major, as SkewSignMatrix.upper and from_bits)."""
+    iu, ju = np.triu_indices(n, k=1)
+    mats = np.zeros((len(signs), n, n), dtype=np.int8)
+    mats[:, iu, ju] = signs
+    mats[:, ju, iu] = -signs
+    if convention == "unit":
+        mats[:, range(n), range(n)] = 1
+    return mats
 
 
 def _bareiss(rows: list[list[int]]) -> int:
@@ -94,6 +92,20 @@ def _bareiss(rows: list[list[int]]) -> int:
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def _block_stats(n: int, signs: np.ndarray, convention: str) -> tuple[int, int, int, int]:
+    """(sum |d|, sum d^2, sum d^4, max |d|) over a (k, m) block of sign vectors, k >= 1."""
+    # one matrix at a time: a whole block as Python ints costs far more memory
+    absdets = [abs(_bareiss(mat.tolist())) for mat in _matrices(n, signs, convention)]
+    squares = [d * d for d in absdets]
+    return sum(absdets), sum(squares), sum(d2 * d2 for d2 in squares), max(absdets)
+
+
+def _reduce(parts: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
+    """Combine per-chunk _block_stats results."""
+    sum_abs, sum_d2, sum_d4, max_abs = zip(*parts)
+    return sum(sum_abs), sum(sum_d2), sum(sum_d4), max(max_abs)
 
 
 def det_exact(matrix: SkewSignMatrix) -> int:
@@ -168,18 +180,11 @@ def enumerate_stats(n: int, convention: str = "zero") -> DetStats:
             f"enumeration is capped at n = {ENUM_LIMIT} "
             f"(2^{n * (n - 1) // 2} matrices); use mc_stats for larger n"
         )
-    m = n * (n - 1) // 2
-    count = 1 << m
-    sum_abs = 0
-    sum_d2 = 0
-    max_abs = 0
-    for bits in range(count):
-        d = det_exact(SkewSignMatrix.from_bits(n, bits, convention))
-        ad = abs(d)
-        sum_abs += ad
-        sum_d2 += d * d
-        if ad > max_abs:
-            max_abs = ad
+    count = 1 << (n * (n - 1) // 2)
+    sum_abs, sum_d2, _, max_abs = _reduce([
+        _enum_chunk(n, start, min(start + MC_CHUNK, count), convention)
+        for start in range(0, count, MC_CHUNK)
+    ])
     return DetStats(
         n=n,
         mode="exact",
@@ -193,26 +198,18 @@ def enumerate_stats(n: int, convention: str = "zero") -> DetStats:
     )
 
 
+def _enum_chunk(n: int, start: int, stop: int, convention: str):
+    """Statistics over the sign vectors numbered start..stop-1; bit i is slot i."""
+    bits = np.arange(start, stop, dtype=np.int64)[:, None] >> np.arange(n * (n - 1) // 2)
+    return _block_stats(n, (bits & 1).astype(np.int8) * 2 - 1, convention)
+
+
 def _mc_chunk(n: int, seed: int, chunk_index: int, size: int, convention: str):
     """Statistics over one counter-keyed substream; schedule-independent."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    m = n * (n - 1) // 2
-    signs = rng.integers(0, 2, size=(size, m), dtype=np.int8) * 2 - 1
-    sum_abs = 0
-    sum_d2 = 0
-    sum_d4 = 0
-    max_abs = 0
-    for row in signs:
-        d = _bareiss(SkewSignMatrix(n, tuple(int(s) for s in row), convention).to_rows())
-        ad = abs(d)
-        d2 = d * d
-        sum_abs += ad
-        sum_d2 += d2
-        sum_d4 += d2 * d2
-        if ad > max_abs:
-            max_abs = ad
-    return sum_abs, sum_d2, sum_d4, max_abs
+    signs = rng.integers(0, 2, size=(size, n * (n - 1) // 2), dtype=np.int8) * 2 - 1
+    return _block_stats(n, signs, convention)
 
 
 def mc_stats(
@@ -230,18 +227,15 @@ def mc_stats(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > N_LIMIT:
+        raise ValueError(f"n must be at most {N_LIMIT}")
     if samples < 100:
         raise ValueError("need at least 100 samples")
     spans = [
         (n, seed, i, min(MC_CHUNK, samples - start), convention)
         for i, start in enumerate(range(0, samples, MC_CHUNK))
     ]
-    parts = chunked_map(_mc_chunk, spans, threads)
-
-    sum_abs = sum(p[0] for p in parts)
-    sum_d2 = sum(p[1] for p in parts)
-    sum_d4 = sum(p[2] for p in parts)
-    max_abs = max(p[3] for p in parts)
+    sum_abs, sum_d2, sum_d4, max_abs = _reduce(chunked_map(_mc_chunk, spans, threads))
 
     N = samples
     m1 = Fraction(sum_abs, N)
@@ -249,15 +243,12 @@ def mc_stats(
     m4 = Fraction(sum_d4, N)
     s1 = float(m1)
     s2 = math.sqrt(float(m2))
-    # unbiased sample variances, computed as exact rationals first
-    if N > 1:
-        var1 = (m2 - m1 * m1) * N / (N - 1)
-        var2 = (m4 - m2 * m2) * N / (N - 1)
-        stderr_s1 = math.sqrt(max(float(var1), 0.0) / N)
-        se_m2 = math.sqrt(max(float(var2), 0.0) / N)
-        stderr_s2 = se_m2 / (2 * s2) if s2 > 0 else 0.0
-    else:
-        stderr_s1 = stderr_s2 = 0.0
+    # unbiased sample variances (N >= 100), computed as exact rationals first
+    var1 = (m2 - m1 * m1) * N / (N - 1)
+    var2 = (m4 - m2 * m2) * N / (N - 1)
+    stderr_s1 = math.sqrt(max(float(var1), 0.0) / N)
+    se_m2 = math.sqrt(max(float(var2), 0.0) / N)
+    stderr_s2 = se_m2 / (2 * s2) if s2 > 0 else 0.0
 
     return DetStats(
         n=n,
@@ -349,41 +340,43 @@ def search_high_det(
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n > N_LIMIT:
+        raise ValueError(f"n must be at most {N_LIMIT}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    m = n * (n - 1) // 2
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    best: SkewSignMatrix | None = None
+    best_upper = ()
     best_det = -1
     evals = 0
 
     while evals < budget:
-        upper = tuple(int(s) for s in rng.integers(0, 2, size=m, dtype=np.int8) * 2 - 1)
-        current = SkewSignMatrix(n, upper, convention)
-        cur_det = abs(det_exact(current))
+        signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
+        rows = _matrices(n, signs, convention)[0].tolist()
+        cur_det = abs(_bareiss(rows))
         evals += 1
         if cur_det > best_det:
-            best_det, best = cur_det, current
+            best_det, best_upper = cur_det, tuple(rows[i][j] for i, j in slots)
 
         improved = True
         while improved and evals < budget:
             improved = False
-            for idx in range(m):
+            for i, j in slots:
                 if evals >= budget:
                     break
-                cand = current.flip(idx)
-                d = abs(det_exact(cand))
+                rows[i][j], rows[j][i] = -rows[i][j], -rows[j][i]
+                d = abs(_bareiss(rows))
                 evals += 1
                 if d > best_det:
-                    best_det, best = d, cand
+                    best_det, best_upper = d, tuple(rows[i][j] for i, j in slots)
                 if d > cur_det:
-                    current, cur_det = cand, d
+                    cur_det = d
                     improved = True
                     break  # first improvement restarts the sweep
+                rows[i][j], rows[j][i] = -rows[i][j], -rows[j][i]
 
-    assert best is not None
     bound = det_existence_bound(n)
     ratio_bound = math.exp(math.log(best_det) - bound.log) if best_det > 0 else 0.0
     if n % 2 == 0:
@@ -392,7 +385,7 @@ def search_high_det(
     else:
         ratio_s1 = None
     return SearchResult(
-        matrix=best,
+        matrix=SkewSignMatrix(n, best_upper, convention),
         abs_det=best_det,
         evaluations=evals,
         ratio_to_existence_bound=ratio_bound,

@@ -244,9 +244,7 @@ class DegreeBound:
 
     @property
     def value(self) -> float:
-        if self.log > 709.0:
-            return math.inf
-        return math.exp(self.log)
+        return LogReal(self.log).value
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)

@@ -51,21 +51,17 @@ class ZetaEvalConfig:
     Below t_switch the Euler-Maclaurin route is used; above it Riemann-Siegel.
     rs_correction_terms defaults to 2: with a single term the crossover-band
     disagreement between the two routes peaks near 6e-3, which fails the 2e-3
-    agreement target, while two terms stay near 5e-4.  em_terms pins the
-    Dirichlet truncation length; None picks it from t.
+    agreement target, while two terms stay near 5e-4.
     """
 
     t_switch: float = 50.0
     rs_correction_terms: int = 2
-    em_terms: int | None = None
 
     def __post_init__(self):
         if not self.t_switch > 0:
             raise ValueError("t_switch must be positive")
         if self.rs_correction_terms not in (0, 1, 2):
             raise ValueError("rs_correction_terms must be 0, 1 or 2")
-        if self.em_terms is not None and self.em_terms < 8:
-            raise ValueError("em_terms must be >= 8 when given")
 
 
 DEFAULT_CONFIG = ZetaEvalConfig()
@@ -172,7 +168,7 @@ def _eval_grid(ts: np.ndarray, cfg: ZetaEvalConfig) -> np.ndarray:
     out = np.empty_like(ts)
     small = ts <= cfg.t_switch
     if small.any():
-        out[small] = zeta_abs_euler_maclaurin(ts[small], cfg.em_terms)
+        out[small] = zeta_abs_euler_maclaurin(ts[small])
     if (~small).any():
         out[~small] = zeta_abs_riemann_siegel(ts[~small], cfg.rs_correction_terms)
     return out

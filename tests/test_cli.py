@@ -115,6 +115,19 @@ class TestFlagHandling:
         assert code == 2
         assert "mc_stats" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["skewdet", "mc", "--n", "81", "--samples", "100"],
+            ["skewdet", "search", "--n", "81", "--budget", "1"],
+        ],
+    )
+    def test_n_above_limit_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "at most 80" in err
+
 
 class TestReports:
     def test_symchar_report_n4(self, capsys):

@@ -42,6 +42,12 @@ class TestMatrixType:
         rows = all_plus(3, "unit").to_rows()
         assert [rows[i][i] for i in range(3)] == [1, 1, 1]
 
+    @pytest.mark.parametrize("convention, entry", [("zero", 0), ("unit", 1)])
+    def test_n1_rows(self, convention, entry):
+        m = SkewSignMatrix(1, (), convention)
+        assert m.to_rows() == [[entry]]
+        assert det_exact(m) == entry
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             SkewSignMatrix(4, (1, 1, 1))
@@ -127,6 +133,26 @@ class TestEnumeration:
         assert st.s1 == pytest.approx(3.0)
         assert st.s2 == pytest.approx(math.sqrt(21.0))
 
+    @pytest.mark.parametrize("convention, det", [("zero", 0), ("unit", 1)])
+    def test_n1(self, convention, det):
+        st = enumerate_stats(1, convention)
+        assert st.count == 1
+        assert st.sum_absdet == st.sum_det2 == st.max_abs_det == det
+        assert st.s1 == st.s2 == det
+
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_per_matrix_loop(self, n, convention):
+        dets = [
+            det_exact(SkewSignMatrix.from_bits(n, bits, convention))
+            for bits in range(1 << (n * (n - 1) // 2))
+        ]
+        st = enumerate_stats(n, convention)
+        assert st.count == len(dets)
+        assert st.sum_absdet == sum(abs(d) for d in dets)
+        assert st.sum_det2 == sum(d * d for d in dets)
+        assert st.max_abs_det == max(abs(d) for d in dets)
+
     def test_guard_redirects_to_mc(self):
         with pytest.raises(ValueError, match="mc_stats"):
             enumerate_stats(9)
@@ -164,6 +190,13 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_stats(4, 99)
+
+    @pytest.mark.parametrize("convention, det", [("zero", 0), ("unit", 1)])
+    def test_n1_is_constant(self, convention, det):
+        st = mc_stats(1, 150, seed=3, convention=convention)
+        assert st.sum_absdet == st.sum_det2 == 150 * det
+        assert st.max_abs_det == det
+        assert st.stderr_s1 == st.stderr_s2 == 0.0
 
 
 class TestAsymptotics:
