@@ -110,6 +110,14 @@ class TestFlagHandling:
         assert out == ""
         assert "threads" in err.lower()
 
+    @pytest.mark.parametrize("convention, sum_absdet", [("zero", "0"), ("unit", "486539264")])
+    def test_enum_n7_runs(self, capsys, convention, sum_absdet):
+        code, out, _ = run(capsys, ["skewdet", "enum", "--n", "7", "--convention", convention])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == 1 << 21
+        assert payload["sum_absdet"] == sum_absdet
+
     def test_bad_domain_value_exits_2(self, capsys):
         code, _, err = run(capsys, ["skewdet", "enum", "--n", "9"])
         assert code == 2

@@ -25,7 +25,9 @@ from momenttail import cli
 
 REQUESTS = [
     ["skewdet", "enum", "--n", "3"],
+    ["skewdet", "enum", "--n", "7"],
     ["skewdet", "mc", "--n", "4", "--samples", "4200", "--threads", "2"],
+    ["skewdet", "mc", "--n", "17", "--samples", "100"],
     ["skewdet", "search", "--n", "4", "--budget", "20"],
     ["zeta", "moments", "--T", "0", "--H", "2", "--k", "2", "--step", "0.1"],
     ["zeta", "tail", "--T", "100", "--H", "2", "--step", "0.1"],
@@ -53,7 +55,7 @@ def test_traced_requests_run_clean():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert [code for code, _ in result["codes"]] == [0] * 7, result["codes"]
+    assert [code for code, _ in result["codes"]] == [0] * 9, result["codes"]
     assert all(count == 0 for count in result["errors"].values()), result["errors"]
     for layer in ("skewdet.mc_stats", "skewdet.enumerate_stats", "skewdet.search_high_det",
                   "zeta.zeta_abs_euler_maclaurin", "zeta.zeta_abs_riemann_siegel",

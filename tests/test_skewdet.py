@@ -19,6 +19,7 @@ from momenttail.skewdet import (
     szekeres_s1_asym,
     szekeres_s2_asym,
 )
+from momenttail.skewdet import _bareiss, _bareiss_batch, _block_stats, _matrices
 
 from oracles import det_cofactor
 
@@ -26,6 +27,24 @@ from oracles import det_cofactor
 def all_plus(n, convention="zero"):
     m = n * (n - 1) // 2
     return SkewSignMatrix(n, (1,) * m, convention)
+
+
+def random_signs(n, k, key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.integers(0, 2, size=(k, n * (n - 1) // 2), dtype=np.int8) * 2 - 1
+
+
+def per_matrix_dets(mats):
+    return [_bareiss(mat.tolist()) for mat in mats]
+
+
+def skew_hadamard_16():
+    """Unit-diagonal skew sign matrix of order 16 with |det| = 16^8, the
+    Hadamard bound: doubling H -> [[H, H], [-H^T, H^T]] keeps H skew-Hadamard."""
+    h = np.array([[1, 1], [-1, 1]], dtype=np.int8)
+    while len(h) < 16:
+        h = np.block([[h, h], [-h.T, h.T]])
+    return h
 
 
 class TestMatrixType:
@@ -106,6 +125,66 @@ class TestDetExact:
             assert abs(det_exact(m2)) == abs(det_exact(m))
 
 
+class TestBareissBatch:
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_random_blocks_match_per_matrix(self, n, convention):
+        mats = _matrices(n, random_signs(n, 40, key=n), convention)
+        assert _bareiss_batch(mats).tolist() == per_matrix_dets(mats)
+
+    def test_odd_zero_diagonal_is_singular(self):
+        for n in range(3, 17, 2):
+            mats = _matrices(n, random_signs(n, 20, key=100 + n), "zero")
+            assert _bareiss_batch(mats).tolist() == per_matrix_dets(mats) == [0] * 20
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 16])
+    def test_singular_unit_matrices(self, n):
+        mats = _matrices(n, random_signs(n, 20, key=200 + n), "unit")
+        equal_rows = mats.copy()
+        equal_rows[:, n - 1] = equal_rows[:, 0]
+        # a zero column leaves no pivot: the dead-matrix path
+        zero_column = mats.copy()
+        zero_column[:, :, n // 2] = 0
+        for block in (equal_rows, zero_column):
+            assert _bareiss_batch(block).tolist() == per_matrix_dets(block) == [0] * 20
+
+    def test_mixed_dead_and_live_matrices(self):
+        mats = _matrices(8, random_signs(8, 30, key=300), "unit")
+        mats[::3, :, 4] = 0
+        dets = _bareiss_batch(mats).tolist()
+        assert dets == per_matrix_dets(mats)
+        assert dets[::3] == [0] * 10 and all(dets[1::3])
+
+    def test_largest_magnitudes_at_n16(self):
+        # search witnesses and the skew-Hadamard matrix (|det| = 16^8 = 2^32),
+        # each under row permutations that reorder the pivots
+        bases = [
+            np.array(search_high_det(16, budget=300, seed=1, convention=conv).matrix.to_rows(),
+                     dtype=np.int8)
+            for conv in ("zero", "unit")
+        ]
+        hadamard = skew_hadamard_16()
+        assert abs(_bareiss(hadamard.tolist())) == 16**8
+        rng = np.random.Generator(np.random.Philox(key=400))
+        for base in bases + [hadamard]:
+            mats = np.stack([base] + [base[rng.permutation(16)] for _ in range(30)])
+            dets = _bareiss_batch(mats).tolist()
+            assert dets == per_matrix_dets(mats)
+            assert {abs(d) for d in dets} == {abs(dets[0])}
+
+    @pytest.mark.parametrize("n", [15, 16, 17])
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    def test_block_stats_across_int64_limit(self, n, convention):
+        signs = random_signs(n, 300, key=500 + n)
+        absdets = [abs(d) for d in per_matrix_dets(_matrices(n, signs, convention))]
+        assert _block_stats(n, signs, convention) == (
+            sum(absdets),
+            sum(d**2 for d in absdets),
+            sum(d**4 for d in absdets),
+            max(absdets),
+        )
+
+
 class TestEnumeration:
     def test_n2(self):
         st = enumerate_stats(2)
@@ -152,6 +231,26 @@ class TestEnumeration:
         assert st.sum_absdet == sum(abs(d) for d in dets)
         assert st.sum_det2 == sum(d * d for d in dets)
         assert st.max_abs_det == max(abs(d) for d in dets)
+
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    def test_reduced_walk_matches_full_walk(self, convention):
+        # every sign vector of n = 6, bit i -> slot i, with no symmetry reduction
+        bits = np.arange(1 << 15)[:, None] >> np.arange(15)
+        full = _block_stats(6, (bits & 1).astype(np.int8) * 2 - 1, convention)
+        st = enumerate_stats(6, convention)
+        assert st.count == 1 << 15
+        assert (st.sum_absdet, st.sum_det2, st.max_abs_det) == (full[0], full[1], full[3])
+
+    def test_n7_zero_diagonal(self):
+        st = enumerate_stats(7, "zero")
+        assert st.count == 1 << 21
+        assert st.sum_absdet == st.sum_det2 == st.max_abs_det == 0
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_zero_diagonal_mean_is_double_factorial(self, n):
+        # E|det| = E Pf^2 = (n-1)!! for independent uniform signs
+        st = enumerate_stats(n, "zero")
+        assert st.sum_absdet == st.count * math.prod(range(n - 1, 0, -2))
 
     def test_guard_redirects_to_mc(self):
         with pytest.raises(ValueError, match="mc_stats"):
