@@ -147,13 +147,14 @@ def verify_theorem(
     For the normalized distribution with second moment a: (1) if a > 1 the
     maximum value is at least a, and (2) for every grid point 0 <= b < a the
     tail second moment above b is at least a - b.  Grid points must be
-    non-negative (the inequality is false for b < 0, where a - b > a).
+    finite and non-negative (the inequality is false for b < 0, where
+    a - b > a).
     A violation raises TheoremViolationError: on finite support these are
     theorems, so failure means a bug.
     """
     for b in b_grid:
-        if b < 0:
-            raise ValueError(f"b grid values must be non-negative, got {b}")
+        if not 0 <= b < math.inf:
+            raise ValueError(f"b grid values must be finite and non-negative, got {b}")
     norm = normalize(dist)
     a = moment(norm, 2)
     max_value = norm.max_value

@@ -44,6 +44,13 @@ _B2K = [
 _EVAL_CHUNK = 8192
 
 
+def _require_finite(**values: float):
+    """Reject NaN and +-inf flags before they reach a grid or a report."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ZetaEvalConfig:
     """Evaluation strategy knobs.
@@ -58,6 +65,7 @@ class ZetaEvalConfig:
     rs_correction_terms: int = 2
 
     def __post_init__(self):
+        _require_finite(t_switch=self.t_switch)
         if not self.t_switch > 0:
             raise ValueError("t_switch must be positive")
         if self.rs_correction_terms not in (0, 1, 2):
@@ -267,6 +275,7 @@ def moment_integral(
     and the relative change recorded.  The integrand oscillates on unit scale,
     so steps above 0.25 set a warning flag instead of failing.
     """
+    _require_finite(T=T, H=H, step=step)
     if T < 0:
         raise ValueError("T must be non-negative")
     if not H > 0:
@@ -366,6 +375,9 @@ def tail_moment_report(
     fourth moment; None uses COEFF_LOW = 1/(4 pi^2).  The results under both
     candidate coefficients are reported alongside either way.
     """
+    _require_finite(T=T, H=H, step=step)
+    if c_threshold is not None:
+        _require_finite(c_threshold=c_threshold)
     if T < 10:
         raise ValueError("T must be at least 10")
     if not H > 0:

@@ -136,6 +136,31 @@ class TestFlagHandling:
         assert out == ""
         assert "at most 80" in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["theorem", "check", "--b", "nan"], "b grid"),
+            (["theorem", "check", "--b", "inf"], "b grid"),
+            (["zeta", "moments", "--T", "nan", "--H", "50", "--k", "2"], "T"),
+            (["zeta", "moments", "--T", "10", "--H", "inf", "--k", "2"], "H"),
+            (["zeta", "moments", "--T", "10", "--H", "5", "--k", "2", "--step", "nan"], "step"),
+            (["zeta", "moments", "--T", "10", "--H", "5", "--k", "2", "--t-switch", "inf"],
+             "t_switch"),
+            (["zeta", "tail", "--T", "inf", "--H", "2"], "T"),
+            (["zeta", "tail", "--T", "100", "--H=-inf"], "H"),
+            (["zeta", "tail", "--T", "100", "--H", "2", "--step", "inf"], "step"),
+            (["zeta", "tail", "--T", "100", "--H", "2", "--t-switch", "nan"], "t_switch"),
+            (["zeta", "tail", "--T", "100", "--H", "2", "--c-threshold", "nan"], "c_threshold"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, capsys, dist_csv, argv, name):
+        if argv[0] == "theorem":
+            argv = argv + ["--input", dist_csv]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} ") and "finite" in err
+
 
 class TestReports:
     def test_symchar_report_n4(self, capsys):

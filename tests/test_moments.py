@@ -123,6 +123,11 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem(TWO_POINT, [-0.5])
 
+    @pytest.mark.parametrize("b", [math.nan, math.inf])
+    def test_non_finite_b_rejected(self, b):
+        with pytest.raises(ValueError, match="finite"):
+            verify_theorem(TWO_POINT, [1.0, b])
+
     def test_json_shape(self):
         payload = to_json(verify_theorem(TWO_POINT, [1.0]))
         assert set(payload) == {"a", "max", "degenerate", "checks"}

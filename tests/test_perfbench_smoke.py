@@ -29,6 +29,8 @@ REQUESTS = [
     ["skewdet", "mc", "--n", "4", "--samples", "4200", "--threads", "2"],
     ["skewdet", "mc", "--n", "17", "--samples", "100"],
     ["skewdet", "search", "--n", "4", "--budget", "20"],
+    ["skewdet", "search", "--n", "7", "--budget", "60"],
+    ["skewdet", "search", "--n", "17", "--budget", "60", "--convention", "unit"],
     ["zeta", "moments", "--T", "0", "--H", "2", "--k", "2", "--step", "0.1"],
     ["zeta", "tail", "--T", "100", "--H", "2", "--step", "0.1"],
     ["theorem", "check", "--input", csv, "--b", "0.5"],
@@ -55,7 +57,7 @@ def test_traced_requests_run_clean():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert [code for code, _ in result["codes"]] == [0] * 9, result["codes"]
+    assert [code for code, _ in result["codes"]] == [0] * 11, result["codes"]
     assert all(count == 0 for count in result["errors"].values()), result["errors"]
     for layer in ("skewdet.mc_stats", "skewdet.enumerate_stats", "skewdet.search_high_det",
                   "zeta.zeta_abs_euler_maclaurin", "zeta.zeta_abs_riemann_siegel",

@@ -19,7 +19,16 @@ from momenttail.skewdet import (
     szekeres_s1_asym,
     szekeres_s2_asym,
 )
-from momenttail.skewdet import _bareiss, _bareiss_batch, _block_stats, _matrices
+from momenttail.skewdet import (
+    SearchResult,
+    _adjugate,
+    _bareiss,
+    _bareiss_batch,
+    _block_stats,
+    _flip_adjugate,
+    _flip_det,
+    _matrices,
+)
 
 from oracles import det_cofactor
 
@@ -36,6 +45,66 @@ def random_signs(n, k, key):
 
 def per_matrix_dets(mats):
     return [_bareiss(mat.tolist()) for mat in mats]
+
+
+def search_reference(n, budget, seed=0, convention="zero"):
+    """search_high_det with one exact _bareiss per flip tried: the same climb,
+    which the O(1) flip evaluation must reproduce value for value."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    best_upper, best_det, evals = (), -1, 0
+    while evals < budget:
+        signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
+        rows = _matrices(n, signs, convention)[0].tolist()
+        cur_det = abs(_bareiss(rows))
+        evals += 1
+        if cur_det > best_det:
+            best_det, best_upper = cur_det, tuple(rows[i][j] for i, j in slots)
+        improved = True
+        while improved and evals < budget:
+            improved = False
+            for i, j in slots:
+                if evals >= budget:
+                    break
+                rows[i][j], rows[j][i] = -rows[i][j], -rows[j][i]
+                d = abs(_bareiss(rows))
+                evals += 1
+                if d > best_det:
+                    best_det, best_upper = d, tuple(rows[i][j] for i, j in slots)
+                if d > cur_det:
+                    cur_det = d
+                    improved = True
+                    break
+                rows[i][j], rows[j][i] = -rows[i][j], -rows[j][i]
+    log_best = math.log(best_det) if best_det > 0 else None
+    ratio_bound = 0.0 if log_best is None else math.exp(log_best - det_existence_bound(n).log)
+    ratio_s1 = None
+    if n % 2 == 0:
+        ratio_s1 = 0.0 if log_best is None else math.exp(log_best - szekeres_s1_asym(n).log)
+    return SearchResult(
+        matrix=SkewSignMatrix(n, best_upper, convention),
+        abs_det=best_det,
+        evaluations=evals,
+        ratio_to_existence_bound=ratio_bound,
+        ratio_to_s1_asym=ratio_s1,
+    )
+
+
+def random_rows(n, convention, key):
+    """Three random sign matrices of order n as row lists (non-singular unless
+    the diagonal is zero and n is odd)."""
+    return [mat.tolist() for mat in _matrices(n, random_signs(n, 3, key), convention)]
+
+
+def flipped(rows, i, j):
+    out = [row[:] for row in rows]
+    out[i][j], out[j][i] = -out[i][j], -out[j][i]
+    return out
+
+
+def times(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def skew_hadamard_16():
@@ -286,6 +355,17 @@ class TestMonteCarlo:
         four = mc_stats(6, 9_000, seed=5, threads=4)
         assert one == four
 
+    def test_runs_chunks_without_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("mc_stats started a thread pool")
+
+        monkeypatch.setattr("momenttail.numutil.ThreadPoolExecutor", no_pool)
+        assert mc_stats(6, 9_000, seed=5, threads=2) == mc_stats(6, 9_000, seed=5)
+
+    def test_bad_threads_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            mc_stats(6, 100, threads=0)
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_stats(4, 99)
@@ -394,6 +474,101 @@ class TestSearch:
         res = search_high_det(6, budget=300, seed=2)
         assert res.ratio_to_existence_bound > 0
         assert res.ratio_to_s1_asym is not None and res.ratio_to_s1_asym > 0
+
+
+class TestFlipUpdates:
+    """The O(1) flip determinant and the O(n^2) adjugate update of search."""
+
+    CASES = [(n, "zero") for n in range(2, 21, 2)] + [(n, "unit") for n in range(2, 21)]
+
+    @pytest.mark.parametrize("n, convention", CASES)
+    def test_adjugate(self, n, convention):
+        for rows in random_rows(n, convention, [n, 7]):
+            det = _bareiss(rows)
+            assert det != 0
+            adj = _adjugate(rows)
+            identity = [[det * (i == j) for j in range(n)] for i in range(n)]
+            assert times(rows, adj) == identity
+            assert times(adj, rows) == identity
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_adjugate_against_cofactors(self, n):
+        for rows in random_rows(n, "unit", [n, 8]):
+            cofactor = [
+                [(-1) ** (i + j) * det_cofactor([r[:j] + r[j + 1:] for k, r in enumerate(rows)
+                                                 if k != i])
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            assert _adjugate(rows) == [list(col) for col in zip(*cofactor)]
+
+    def test_adjugate_rejects_singular(self):
+        with pytest.raises(ValueError, match="singular"):
+            _adjugate(all_plus(5).to_rows())
+
+    @pytest.mark.parametrize("n, convention", CASES)
+    def test_every_flip_det_matches_bareiss(self, n, convention):
+        for rows in random_rows(n, convention, [n, 9]):
+            det, adj = _bareiss(rows), _adjugate(rows)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    expected = _bareiss(flipped(rows, i, j))
+                    assert _flip_det(det, adj, i, j, rows[i][j]) == expected
+
+    @pytest.mark.parametrize("n, convention", CASES)
+    def test_flip_adjugate_matches_fresh_adjugate(self, n, convention):
+        rows = random_rows(n, convention, [n, 10])[0]
+        det, adj = _bareiss(rows), _adjugate(rows)
+        for i in range(n):
+            for j in range(i + 1, n):
+                new_rows = flipped(rows, i, j)
+                new_det = _bareiss(new_rows)
+                new_adj = _flip_adjugate(det, new_det, adj, i, j, rows[i][j])
+                assert new_adj == _adjugate(new_rows)
+
+    def test_flip_updates_chain_along_a_climb(self):
+        # many accepted flips in a row keep (det, adj) exact at n = 24
+        n = 24
+        rows = random_rows(n, "zero", [n, 11])[0]
+        det, adj = _bareiss(rows), _adjugate(rows)
+        rng = np.random.Generator(np.random.Philox(key=[n, 12]))
+        for _ in range(40):
+            i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+            new_det = _flip_det(det, adj, i, j, rows[i][j])
+            adj = _flip_adjugate(det, new_det, adj, i, j, rows[i][j])
+            rows, det = flipped(rows, i, j), new_det
+        assert det == _bareiss(rows)
+        assert adj == _adjugate(rows)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_singular_only_for_odd_zero_diagonal(self, n):
+        # the D = 0 fallback of search is exactly the odd-n zero-diagonal case:
+        # an even-n zero-diagonal det is Pf^2 with Pf a sum of (n-1)!! terms +-1
+        # (odd), and a unit-diagonal det is prod(1 + mu^2) >= 1
+        signs = random_signs(n, 64, [n, 13])
+        zero = _bareiss_batch(_matrices(n, signs, "zero"))
+        unit = _bareiss_batch(_matrices(n, signs, "unit"))
+        assert (unit >= 1).all()
+        assert (zero == 0).all() if n % 2 else (zero % 2 == 1).all()
+
+
+class TestSearchMatchesReference:
+    """search_high_det against the one-_bareiss-per-flip reference climb,
+    including budgets that stop mid-sweep and the D = 0 path at odd n."""
+
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    @pytest.mark.parametrize("n", [*range(2, 21), 24, 32])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equal_results(self, n, convention, seed):
+        for budget in (1, 7, 100, 1000):
+            expected = search_reference(n, budget, seed=seed, convention=convention)
+            assert search_high_det(n, budget, seed=seed, convention=convention) == expected
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 11])
+    def test_odd_zero_diagonal_evaluates_every_flip(self, n):
+        res = search_high_det(n, 500, seed=4)
+        assert res.abs_det == 0 and res.evaluations == 500
+        assert res == search_reference(n, 500, seed=4)
 
 
 class TestStatsType:

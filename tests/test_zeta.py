@@ -39,6 +39,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             ZetaEvalConfig(t_switch=0.0)
 
+    @pytest.mark.parametrize("t_switch", [math.nan, math.inf])
+    def test_rejects_non_finite_switch(self, t_switch):
+        with pytest.raises(ValueError, match="t_switch must be finite"):
+            ZetaEvalConfig(t_switch=t_switch)
+
+
+@pytest.mark.parametrize("name", ["T", "H", "step"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [moment_integral, tail_moment_report])
+def test_non_finite_window_rejected(fn, name, bad):
+    args = {"T": 100.0, "H": 10.0, "step": 0.5, name: bad}
+    extra = (2,) if fn is moment_integral else ()
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        fn(args["T"], args["H"], *extra, step=args["step"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_c_threshold_rejected(bad):
+    with pytest.raises(ValueError, match="c_threshold must be finite"):
+        tail_moment_report(100.0, 10.0, c_threshold=bad, step=0.5)
+
 
 class TestEvaluator:
     def test_value_at_zero_against_eta_oracle(self):
