@@ -7,19 +7,21 @@ skew-symmetric; even n gives det = Pf^2 >= 0, odd n gives det = 0) and "unit"
 exact integers: values grow like n^(n/2), past what float LU can represent
 faithfully, and the mean identities checked downstream are exact.
 
-Determinants come from fraction-free (Bareiss) elimination: batched in numpy
-int64 for n <= 16, where Hadamard's bound keeps every intermediate below 2^63,
-and one matrix at a time in Python integers above that.  Exact enumeration
-walks one matrix per class of conjugation by diagonal +-1 matrices, which
-leaves det unchanged, so it computes 2^((n-1)(n-2)/2) determinants instead of
-2^(n(n-1)/2) and reaches n = 8 in seconds.
+Determinants of sign blocks are batched in numpy: fraction-free (Bareiss)
+elimination in int64 for n <= 16, where Hadamard's bound keeps every
+intermediate below 2^63, and above that det mod a few primes p < 2^26, by
+division-free elimination in float64, rebuilt exactly by the CRT.  Exact
+enumeration walks one matrix per class of conjugation by diagonal +-1
+matrices, which leaves det unchanged, so it computes 2^((n-1)(n-2)/2)
+determinants instead of 2^(n(n-1)/2) and reaches n = 8 in seconds.
 
 Witness search flips one sign pair at a time.  Each climb keeps det A and the
 exact adjugate adj A of its current matrix, from one fraction-free
 Gauss-Jordan elimination at its start; a flip changes two entries, so the
 matrix determinant lemma gives every flipped determinant exactly in O(1)
-integer operations, and an accepted flip updates adj A in O(n^2).  Singular
-matrices (zero diagonal, odd n) evaluate each flip with Bareiss instead.
+integer operations, and an accepted flip updates adj A in O(n^2).  The only
+singular matrices (zero diagonal, odd n) need no climb: every determinant
+there is 0.
 """
 
 import math
@@ -230,17 +232,131 @@ def _bareiss_batch(mats: np.ndarray) -> np.ndarray:
     return sign * a[n - 1, n - 1]
 
 
+# Primes for _modular_dets, the largest ten below 2^26.  By Hadamard
+# |det| <= n^(n/2), and the CRT gives det mod M in (-M/2, M/2), which is det
+# itself once M > 2 n^(n/2): that takes 2 primes at n = 17, 4 at n = 32 and
+# all ten at n = N_LIMIT = 80 (2 * 80^40 < 2^254 < M).
+#
+# _det_mod keeps residues r with |r| <= (p + 1) / 2 <= 2^25 (p < 2^26 odd), so
+# an update x = pivot * r - a_ic * a_cj has |x| <= 2^51 and is exact in
+# float64.  The float product x * (1/p) is within 2^-51 |x| / p <= 1 / p of
+# x / p, so q = rint of it has |x / p - q| <= 1/2 + 1/p, p * q is an exact
+# integer below 2^53, and x - p * q is an integer of magnitude at most
+# p / 2 + 1, hence at most (p + 1) / 2 again.
+MODULAR_PRIMES = (
+    67108859, 67108837, 67108819, 67108777, 67108763,
+    67108757, 67108753, 67108747, 67108739, 67108729,
+)
+# Bytes of the float64 (n, n, k) stack of one _modular_dets call; its scratch
+# buffer is as large, so the working set is bounded for every n (k = 128 at
+# n = 32, 20 at n = 80).
+MODULAR_BYTES = 1 << 20
+
+
+def _crt_basis(n: int) -> tuple[list[int], int, list[int]]:
+    """The fewest leading MODULAR_PRIMES whose product M exceeds 2 n^(n/2), M,
+    and the CRT weights (M / p) * ((M / p)^-1 mod p), one per prime."""
+    bound = 4 * n**n  # M > 2 n^(n/2) exactly when M^2 > 4 n^n
+    primes = []
+    modulus = 1
+    for p in MODULAR_PRIMES:
+        if modulus * modulus > bound:
+            break
+        primes.append(p)
+        modulus *= p
+    if modulus * modulus <= bound:
+        raise ValueError(f"MODULAR_PRIMES do not cover the Hadamard bound at n = {n}")
+    return primes, modulus, [modulus // p * pow(modulus // p, -1, p) for p in primes]
+
+
+def _modular_dets(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of a (k, n, n) stack of +-1/0 matrices, any n, as an
+    object array of Python ints.
+
+    det mod p for each prime of _crt_basis(n), one prime at a time on one
+    (n, n, k) float64 stack, then the signed det by the CRT.
+    """
+    k, n, _ = mats.shape
+    base = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    a = np.empty((n, n, k))
+    scratch = np.empty((n - 1) * (n - 1) * k)
+    primes, modulus, weights = _crt_basis(n)
+    total = [0] * k
+    for p, weight in zip(primes, weights):
+        np.copyto(a, base)
+        total = [t + r * weight for t, r in zip(total, _det_mod(a, scratch, p))]
+    half = modulus // 2
+    dets = [t % modulus for t in total]
+    return np.array([d - modulus if d > half else d for d in dets], dtype=object)
+
+
+def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
+    """det mod p, in [0, p), of each matrix of an (n, n, k) float64 stack of
+    residues, which it overwrites.
+
+    Division-free elimination: step c maps the block below and right of the
+    pivot q_c to q_c x - a_ic a_cj, which scales the Schur complement by
+    F_(c+1) = q_0 ... q_c.  So the last entry is F_(n-1) times the last Schur
+    pivot, and det = sign * last / (F_1 ... F_(n-2)), with one inverse per
+    matrix.  A column that is zero mod p from the pivot down leaves pivot 0,
+    which zeroes the rest of the block, so last = 0 and the residue is 0.
+    """
+    n, _, k = a.shape
+    inv_p = 1.0 / p
+
+    def reduce(x):
+        return x - p * np.rint(x * inv_p)
+
+    # a2[i, j * k + m] is entry (i, j) of matrix m, so a2[i, j * k :] holds
+    # columns j..n-1 of row i of every matrix
+    a2 = a.reshape(n, n * k)
+    tiled = np.empty((n - 1, k))
+    sign = np.ones(k)
+    prefix = np.ones(k)  # F_c before step c
+    den = np.ones(k)  # F_0 ... F_c after step c
+    for c in range(n - 1):
+        # first row at or below c with a non-zero residue in column c
+        first = (a[c:, c] != 0).argmax(axis=0)
+        swap = np.flatnonzero(first)
+        if len(swap):
+            other = first[swap] + c
+            a[c, c:, swap], a[other, c:, swap] = a[other, c:, swap], a[c, c:, swap]
+            sign[swap] = -sign[swap]
+        pivot = a[c, c]
+        den = reduce(den * prefix)
+        prefix = reduce(prefix * pivot)
+        # every operand below spans whole rows of the block, so each numpy
+        # loop runs over r * k contiguous values rather than k
+        r = n - 1 - c
+        sub = a2[c + 1 :, (c + 1) * k :]
+        tmp = scratch[: r * r * k].reshape(r, r * k)
+        tmp.reshape(r, r, k)[...] = a[c + 1 :, c, None]
+        tmp *= a2[c, (c + 1) * k :]
+        tiled[:r] = pivot
+        sub *= tiled[:r].reshape(r * k)
+        sub -= tmp
+        np.multiply(sub, inv_p, out=tmp)
+        np.rint(tmp, out=tmp)
+        tmp *= p
+        sub -= tmp
+    lasts = (sign * a[n - 1, n - 1]).astype(np.int64).tolist()
+    dens = den.astype(np.int64).tolist()
+    # den is 0 only after a zero pivot, which has made last 0 as well
+    return [last * pow(d, -1, p) % p if last else 0 for last, d in zip(lasts, dens)]
+
+
 def _block_stats(n: int, signs: np.ndarray, convention: str) -> tuple[int, int, int, int]:
     """(sum |d|, sum d^2, sum d^4, max |d|) over a (k, m) block of sign vectors, k >= 1."""
     if n <= BATCH_LIMIT:
-        absdets = []
-        for start in range(0, len(signs), BATCH_SIZE):
-            mats = _matrices(n, signs[start : start + BATCH_SIZE], convention)
-            absdets += np.abs(_bareiss_batch(mats)).tolist()
+        kernel, size = _bareiss_batch, BATCH_SIZE
     else:
-        # past int64: one matrix at a time, since a whole block as Python ints
-        # costs far more memory
-        absdets = [abs(_bareiss(mat.tolist())) for mat in _matrices(n, signs, convention)]
+        # past int64: determinants mod word-size primes, in sub-blocks whose
+        # float64 stack is about MODULAR_BYTES
+        kernel, size = _modular_dets, max(1, MODULAR_BYTES // (8 * n * n))
+    absdets = []
+    for start in range(0, len(signs), size):
+        mats = _matrices(n, signs[start : start + size], convention)
+        absdets += np.abs(kernel(mats)).tolist()
     # Python ints from here: d^2 overflows int64 from n = 16, d^4 from n = 10
     squares = [d * d for d in absdets]
     return sum(absdets), sum(squares), sum(d2 * d2 for d2 in squares), max(absdets)
@@ -388,10 +504,10 @@ def mc_stats(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     resolve_threads(threads)
-    # chunks run serially: the numpy steps of the batched determinants are
-    # too short to overlap and the Python-int path holds the GIL, so a second
-    # thread never paid (mc_stats(10, 20000), 2 CPUs: 0.097-0.100 s at 1
-    # thread, 0.098-0.103 s at 2)
+    # chunks run serially: the numpy steps of the int64 batched determinants
+    # are too short to overlap, so a second thread never paid
+    # (mc_stats(10, 20000), 2 CPUs: 0.097-0.100 s at 1 thread, 0.098-0.103 s
+    # at 2)
     sum_abs, sum_d2, sum_d4, max_abs = _reduce([
         _mc_chunk(n, seed, i, min(MC_CHUNK, samples - start), convention)
         for i, start in enumerate(range(0, samples, MC_CHUNK))
@@ -498,13 +614,14 @@ def search_high_det(
     budget counts determinant evaluations.  The trajectory depends only on
     (n, seed, convention), so the best value is non-decreasing in budget.
 
-    While the current matrix A is non-singular, each climb keeps det A and
-    adj A: a flip changes two entries, so _flip_det gives the flipped
-    determinant exactly in O(1), and _flip_adjugate updates adj A in O(n^2)
-    when the flip is accepted.  The only singular matrices are those with
-    zero diagonal and odd n: for even n det = Pf^2 and the Pfaffian is a sum
-    of an odd number of +-1 terms, and det(I + S) >= 1 for skew S.  There
-    every flip gives 0 as well, and each is still evaluated with _bareiss.
+    Each climb keeps det A and adj A of its current matrix A: a flip changes
+    two entries, so _flip_det gives the flipped determinant exactly in O(1),
+    and _flip_adjugate updates adj A in O(n^2) when the flip is accepted.
+    The only singular matrices are those with zero diagonal and odd n: for
+    even n det = Pf^2 and the Pfaffian is a sum of an odd number of +-1
+    terms, and det(I + S) >= 1 for skew S.  With odd n and zero diagonal
+    every evaluation gives 0, so the result (the first start matrix, |det| 0,
+    budget evaluations) is returned without climbing.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -519,6 +636,11 @@ def search_high_det(
     best_upper = ()
     best_det = -1
     evals = 0
+    if convention == "zero" and n % 2:
+        # every matrix is singular: the first start stays best, and the climb
+        # only spends the budget on zeros
+        signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
+        best_upper, best_det, evals = tuple(signs[0].tolist()), 0, budget
 
     while evals < budget:
         signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
@@ -528,7 +650,7 @@ def search_high_det(
         cur_det = abs(det)
         if cur_det > best_det:
             best_det, best_upper = cur_det, tuple(rows[i][j] for i, j in slots)
-        adj = _adjugate(rows) if det else None
+        adj = _adjugate(rows)
 
         improved = True
         while improved and evals < budget:
@@ -537,16 +659,10 @@ def search_high_det(
                 if evals >= budget:
                     break
                 s = rows[i][j]
-                if adj is None:
-                    rows[i][j], rows[j][i] = -s, s
-                    d = _bareiss(rows)
-                    rows[i][j], rows[j][i] = s, -s
-                else:
-                    d = _flip_det(det, adj, i, j, s)
+                d = _flip_det(det, adj, i, j, s)
                 evals += 1
                 if abs(d) > cur_det:
-                    # first improvement: keep the flip and restart the sweep.
-                    # adj is set: a singular A has every flip singular too
+                    # first improvement: keep the flip and restart the sweep
                     rows[i][j], rows[j][i] = -s, s
                     adj = _flip_adjugate(det, d, adj, i, j, s)
                     det, cur_det = d, abs(d)

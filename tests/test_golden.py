@@ -38,6 +38,10 @@ CASES = {
     "skewdet-enum-unit": (["skewdet", "enum", "--n", "5", "--convention", "unit"], True),
     "skewdet-mc": (["skewdet", "mc", "--n", "8", "--samples", "5000", "--seed", "7",
                     "--threads", "2"], True),
+    "skewdet-mc-n32": (["skewdet", "mc", "--n", "32", "--samples", "300", "--seed", "7"],
+                       True),
+    "skewdet-mc-n17-unit": (["skewdet", "mc", "--n", "17", "--samples", "200", "--seed", "3",
+                             "--convention", "unit"], True),
     "skewdet-search": (["skewdet", "search", "--n", "8", "--budget", "300",
                         "--seed", "1"], True),
     "skewdet-search-odd": (["skewdet", "search", "--n", "5", "--budget", "100",

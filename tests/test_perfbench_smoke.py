@@ -28,6 +28,7 @@ REQUESTS = [
     ["skewdet", "enum", "--n", "7"],
     ["skewdet", "mc", "--n", "4", "--samples", "4200", "--threads", "2"],
     ["skewdet", "mc", "--n", "17", "--samples", "100"],
+    ["skewdet", "mc", "--n", "32", "--samples", "100"],
     ["skewdet", "search", "--n", "4", "--budget", "20"],
     ["skewdet", "search", "--n", "7", "--budget", "60"],
     ["skewdet", "search", "--n", "17", "--budget", "60", "--convention", "unit"],
@@ -57,7 +58,7 @@ def test_traced_requests_run_clean():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert [code for code, _ in result["codes"]] == [0] * 11, result["codes"]
+    assert [code for code, _ in result["codes"]] == [0] * 12, result["codes"]
     assert all(count == 0 for count in result["errors"].values()), result["errors"]
     for layer in ("skewdet.mc_stats", "skewdet.enumerate_stats", "skewdet.search_high_det",
                   "zeta.zeta_abs_euler_maclaurin", "zeta.zeta_abs_riemann_siegel",

@@ -1,10 +1,12 @@
 """Tests for exact/Monte Carlo skew sign-matrix determinant statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from momenttail import skewdet
 from momenttail.numutil import log_factorial, to_json
 from momenttail.skewdet import (
     DetStats,
@@ -20,14 +22,19 @@ from momenttail.skewdet import (
     szekeres_s2_asym,
 )
 from momenttail.skewdet import (
+    BATCH_LIMIT,
+    MODULAR_PRIMES,
+    N_LIMIT,
     SearchResult,
     _adjugate,
     _bareiss,
     _bareiss_batch,
     _block_stats,
+    _crt_basis,
     _flip_adjugate,
     _flip_det,
     _matrices,
+    _modular_dets,
 )
 
 from oracles import det_cofactor
@@ -47,36 +54,58 @@ def per_matrix_dets(mats):
     return [_bareiss(mat.tolist()) for mat in mats]
 
 
+def batch_dets(mats):
+    """Exact determinants of a (k, n, n) stack: int64 Bareiss up to BATCH_LIMIT,
+    the multi-modular kernel above."""
+    kernel = _bareiss_batch if mats.shape[1] <= BATCH_LIMIT else _modular_dets
+    return kernel(mats).tolist()
+
+
+#: flips per batched determinant call in search_reference.  A sweep usually
+#: ends at its first improvement, about 20 flips in (n = 32, budget 1000: 44
+#: sweeps, median 21), so batching a whole sweep of up to n(n-1)/2 flips would
+#: evaluate far more matrices than the climb does.
+SWEEP_CHUNK = 32
+
+
 def search_reference(n, budget, seed=0, convention="zero"):
-    """search_high_det with one exact _bareiss per flip tried: the same climb,
-    which the O(1) flip evaluation must reproduce value for value."""
+    """search_high_det by brute force: each sweep evaluates its flips as whole
+    flipped matrices, in slot order and batched determinant calls, and takes
+    the first that improves.  The O(1) flip evaluation must reproduce it value
+    for value, evaluation count included."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    iu, ju = np.triu_indices(n, k=1)
     best_upper, best_det, evals = (), -1, 0
     while evals < budget:
-        signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
-        rows = _matrices(n, signs, convention)[0].tolist()
-        cur_det = abs(_bareiss(rows))
+        signs = rng.integers(0, 2, size=(1, len(iu)), dtype=np.int8) * 2 - 1
+        mat = _matrices(n, signs, convention)[0]
+        cur_det = abs(_bareiss(mat.tolist()))
         evals += 1
         if cur_det > best_det:
-            best_det, best_upper = cur_det, tuple(rows[i][j] for i, j in slots)
+            best_det, best_upper = cur_det, tuple(mat[iu, ju].tolist())
         improved = True
         while improved and evals < budget:
             improved = False
-            for i, j in slots:
-                if evals >= budget:
-                    break
-                rows[i][j], rows[j][i] = -rows[i][j], -rows[j][i]
-                d = abs(_bareiss(rows))
-                evals += 1
-                if d > best_det:
-                    best_det, best_upper = d, tuple(rows[i][j] for i, j in slots)
-                if d > cur_det:
-                    cur_det = d
-                    improved = True
-                    break
-                rows[i][j], rows[j][i] = -rows[i][j], -rows[j][i]
+            # the flips of this sweep that the budget leaves
+            todo = min(len(iu), budget - evals)
+            for start in range(0, todo, SWEEP_CHUNK):
+                slots = np.arange(start, min(start + SWEEP_CHUNK, todo))
+                mats = np.repeat(mat[None], len(slots), axis=0)
+                each = np.arange(len(slots))
+                mats[each, iu[slots], ju[slots]] *= -1
+                mats[each, ju[slots], iu[slots]] *= -1
+                dets = [abs(d) for d in batch_dets(mats)]
+                better = next((f for f, d in enumerate(dets) if d > cur_det), None)
+                if better is None:
+                    evals += len(slots)
+                    continue
+                evals += better + 1
+                mat, cur_det = mats[better], dets[better]
+                if cur_det > best_det:
+                    best_det, best_upper = cur_det, tuple(mat[iu, ju].tolist())
+                improved = True
+                break
     log_best = math.log(best_det) if best_det > 0 else None
     ratio_bound = 0.0 if log_best is None else math.exp(log_best - det_existence_bound(n).log)
     ratio_s1 = None
@@ -241,12 +270,105 @@ class TestBareissBatch:
             assert dets == per_matrix_dets(mats)
             assert {abs(d) for d in dets} == {abs(dets[0])}
 
-    @pytest.mark.parametrize("n", [15, 16, 17])
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
     @pytest.mark.parametrize("convention", ["zero", "unit"])
     def test_block_stats_across_int64_limit(self, n, convention):
         signs = random_signs(n, 300, key=500 + n)
         absdets = [abs(d) for d in per_matrix_dets(_matrices(n, signs, convention))]
         assert _block_stats(n, signs, convention) == (
+            sum(absdets),
+            sum(d**2 for d in absdets),
+            sum(d**4 for d in absdets),
+            max(absdets),
+        )
+
+
+def is_prime(p):
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+class TestModularDets:
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    @pytest.mark.parametrize("n, k", [(17, 40), (24, 30), (32, 20), (80, 4)])
+    def test_random_stacks_match_bareiss(self, n, k, convention):
+        mats = _matrices(n, random_signs(n, k, key=600 + n), convention)
+        assert _modular_dets(mats).tolist() == per_matrix_dets(mats)
+
+    @pytest.mark.parametrize("n", [17, 24])
+    def test_singular_unit_matrices(self, n):
+        mats = _matrices(n, random_signs(n, 20, key=700 + n), "unit")
+        equal_rows = mats.copy()
+        equal_rows[:, n - 1] = equal_rows[:, 3]
+        zero_column = mats.copy()
+        zero_column[:, :, n // 2] = 0
+        for block in (equal_rows, zero_column):
+            assert _modular_dets(block).tolist() == per_matrix_dets(block) == [0] * 20
+
+    def test_odd_zero_diagonal_is_singular(self):
+        for n in (17, 25, 33):
+            mats = _matrices(n, random_signs(n, 10, key=800 + n), "zero")
+            assert _modular_dets(mats).tolist() == [0] * 10
+
+    def test_mixed_dead_and_live_matrices(self):
+        mats = _matrices(20, random_signs(20, 30, key=900), "unit")
+        mats[::3, :, 7] = 0
+        dets = _modular_dets(mats).tolist()
+        assert dets == per_matrix_dets(mats)
+        assert dets[::3] == [0] * 10 and all(dets[1::3])
+
+    def test_skew_hadamard_32_at_the_bound(self):
+        # doubling once more gives order 32 with |det| = 32^16, exactly the
+        # Hadamard bound the primes must cover
+        h = skew_hadamard_16()
+        h = np.block([[h, h], [-h.T, h.T]])
+        rng = np.random.Generator(np.random.Philox(key=1000))
+        mats = np.stack([h] + [h[rng.permutation(32)] for _ in range(15)])
+        dets = _modular_dets(mats).tolist()
+        assert dets == per_matrix_dets(mats)
+        assert {abs(d) for d in dets} == {32**16}
+
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    @pytest.mark.parametrize("n", [17, 24, 32])
+    def test_small_primes(self, monkeypatch, n, convention):
+        # residues mod 3, 5, 7, ... vanish often, so pivots swap, columns go
+        # dead mod p and the CRT runs over many primes
+        monkeypatch.setattr(skewdet, "MODULAR_PRIMES", tuple(filter(is_prime, range(3, 120))))
+        mats = _matrices(n, random_signs(n, 30, key=1100 + n), convention)
+        dets = _modular_dets(mats).tolist()
+        assert dets == per_matrix_dets(mats)
+        if convention == "unit" or n % 2 == 0:
+            # some non-singular matrix is singular mod 3
+            assert any(d % 3 == 0 and d != 0 for d in dets)
+
+    def test_prime_list(self):
+        assert len(set(MODULAR_PRIMES)) == len(MODULAR_PRIMES)
+        for p in MODULAR_PRIMES:
+            assert 2 < p < 2**26 and is_prime(p)
+
+    @pytest.mark.parametrize("n", range(17, N_LIMIT + 1))
+    def test_primes_cover_hadamard_bound(self, n):
+        primes, modulus, weights = _crt_basis(n)
+        assert primes == list(MODULAR_PRIMES[: len(primes)])
+        assert modulus == math.prod(primes)
+        # M > 2 n^(n/2), and no shorter prefix would do
+        assert modulus**2 > 4 * n**n >= (modulus // primes[-1]) ** 2
+        for p, w in zip(primes, weights):
+            assert [w % q for q in primes] == [int(q == p) for q in primes]
+
+    def test_prime_counts(self):
+        assert [len(_crt_basis(n)[0]) for n in (17, 32, 80)] == [2, 4, 10]
+
+    def test_uncovered_bound_rejected(self, monkeypatch):
+        monkeypatch.setattr(skewdet, "MODULAR_PRIMES", MODULAR_PRIMES[:3])
+        with pytest.raises(ValueError, match="n = 32"):
+            _crt_basis(32)
+
+    def test_block_stats_over_many_sub_blocks(self, monkeypatch):
+        # 7 matrices per _modular_dets call: 300 sign vectors take 43 calls
+        monkeypatch.setattr(skewdet, "MODULAR_BYTES", 8 * 24 * 24 * 7)
+        signs = random_signs(24, 300, key=1200)
+        absdets = [abs(d) for d in per_matrix_dets(_matrices(24, signs, "unit"))]
+        assert _block_stats(24, signs, "unit") == (
             sum(absdets),
             sum(d**2 for d in absdets),
             sum(d**4 for d in absdets),
@@ -361,6 +483,18 @@ class TestMonteCarlo:
 
         monkeypatch.setattr("momenttail.numutil.ThreadPoolExecutor", no_pool)
         assert mc_stats(6, 9_000, seed=5, threads=2) == mc_stats(6, 9_000, seed=5)
+
+    def test_memory_bounded_at_n_limit(self):
+        # 100 samples at n = 80 run as five _modular_dets calls of 20 matrices:
+        # the peak is one call's stack and scratch (2 x MODULAR_BYTES) plus the
+        # chunk's sign draws, a ceiling that more samples do not raise
+        tracemalloc.start()
+        try:
+            mc_stats(N_LIMIT, 100, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_bad_threads_rejected(self):
         with pytest.raises(ValueError, match="threads"):
