@@ -5,12 +5,25 @@ exceed a with positive probability, and for every cutoff 0 <= b < a the mass
 of squared values above b is at least a - b.  On finite support both facts
 are exact, so they double as self-checks: a failed check means a bug, not a
 counterexample.
+
+A distribution holds its entries in one read-only (k, 2) float64 array, so
+validation, normalization and the sums are numpy operations.  Every sum is
+math.fsum, which is exactly rounded: the result does not depend on the order
+of summation, so any route that forms the same IEEE products gives the same
+bits.  The total weight is computed once per distribution, and the tail sums
+sort the values once, on first use, then sum the suffix above each cutoff.
 """
 
 import csv
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from functools import cached_property
+from itertools import repeat
+from operator import mul
+from typing import IO
+
+import numpy as np
 
 from .numutil import compensated_sum
 
@@ -40,49 +53,81 @@ class DistributionFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+class InvalidEntryError(ValueError):
+    """A (value, weight) entry was rejected; `index` is its 0-based position."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class EmpiricalDistribution:
     """Finite weighted set of non-negative values.
 
-    entries are (value, weight) pairs; duplicates are allowed and kept as-is.
-    `normalized` marks distributions whose weights sum to 1 and whose mean is 1
-    (within NORM_TOL); it is what `normalize` produces.
+    `entries` is any sequence of (value, weight) pairs or a (k, 2) array; it
+    is copied into a read-only (k, 2) float64 array, whose columns are
+    `values` and `weights`.  Input order and duplicates are kept as-is.
+    `normalized` marks distributions whose weights sum to 1 and whose mean is
+    1 (within NORM_TOL); it is what `normalize` produces.
     """
 
-    entries: tuple[tuple[float, float], ...]
-    normalized: bool = False
-
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries, normalized: bool = False):
+        pairs = np.array(entries, dtype=np.float64)
+        if len(pairs) == 0:
             raise ValueError("distribution needs at least one entry")
-        for value, weight in self.entries:
-            if not (math.isfinite(value) and math.isfinite(weight)):
-                raise ValueError("values and weights must be finite")
-            if value < 0:
-                raise ValueError(f"negative value {value}")
-            if weight <= 0:
-                raise ValueError(f"non-positive weight {weight}")
-        if self.normalized:
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("entries must be (value, weight) pairs")
+        pairs.flags.writeable = False
+        values, weights = pairs[:, 0], pairs[:, 1]
+        _check_entries(values, weights)
+        vars(self).update(entries=pairs, values=values, weights=weights, normalized=normalized)
+        if normalized:
             if abs(self.total_weight - 1.0) > NORM_TOL:
                 raise ValueError("normalized flag set but weights do not sum to 1")
             if abs(self.mean - 1.0) > NORM_TOL:
                 raise ValueError("normalized flag set but mean is not 1")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "EmpiricalDistribution":
-        return cls(tuple((float(v), float(w)) for v, w in pairs))
+        return cls([(float(v), float(w)) for v, w in pairs])
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
-        return compensated_sum(w for _, w in self.entries)
+        return compensated_sum(self.weights)
 
-    @property
+    @cached_property
     def mean(self) -> float:
-        return compensated_sum(v * w for v, w in self.entries) / self.total_weight
+        return compensated_sum(self.values * self.weights) / self.total_weight
 
     @property
     def max_value(self) -> float:
-        return max(v for v, _ in self.entries)
+        return self.values.max().item()
+
+    @cached_property
+    def _tail_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Values in ascending order, and w * v * v in the same order."""
+        order = np.argsort(self.values)
+        values = self.values[order]
+        return values, self.weights[order] * values * values
+
+
+def _check_entries(values: np.ndarray, weights: np.ndarray) -> None:
+    """Raise InvalidEntryError for the first rejected entry, with the message
+    of its first failed check: finite, then value >= 0, then weight > 0."""
+    finite = np.isfinite(values) & np.isfinite(weights)
+    bad = ~finite | (values < 0) | (weights <= 0)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    value, weight = values[i].item(), weights[i].item()
+    if not finite[i]:
+        raise InvalidEntryError(i, "values and weights must be finite")
+    if value < 0:
+        raise InvalidEntryError(i, f"negative value {value}")
+    raise InvalidEntryError(i, f"non-positive weight {weight}")
 
 
 @dataclass(frozen=True)
@@ -113,30 +158,36 @@ def normalize(dist: EmpiricalDistribution) -> EmpiricalDistribution:
     The relative multiset of (value/mean, weight/total) is preserved.  Raises
     DegenerateDistributionError when all values are zero (mean 0).
     """
-    total = dist.total_weight
-    mean = compensated_sum(v * w for v, w in dist.entries) / total
+    mean = dist.mean
     if mean <= 0.0:
         raise DegenerateDistributionError("all-zero values: mean is 0, cannot rescale")
-    entries = tuple((v / mean, w / total) for v, w in dist.entries)
+    entries = np.column_stack((dist.values / mean, dist.weights / dist.total_weight))
     return EmpiricalDistribution(entries, normalized=True)
 
 
 def moment(dist: EmpiricalDistribution, k: int) -> float:
-    """k-th moment sum(w * v^k) / sum(w) with compensated summation."""
+    """k-th moment sum(w * v^k) / sum(w) with compensated summation.
+
+    v^k is libm pow per element, as Python's v**k computes it; it is not
+    always bit-equal to v*v or to numpy's power.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return compensated_sum(w * v**k for v, w in dist.entries) / dist.total_weight
+    # memoryview iterates an array as Python floats without building a list
+    powers = map(math.pow, memoryview(dist.values), repeat(float(k)))
+    return compensated_sum(map(mul, memoryview(dist.weights), powers)) / dist.total_weight
 
 
 def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:
     """Second-moment mass strictly above b: sum over v > b of w * v^2 / sum(w).
 
     The threshold is strict, so atoms sitting exactly at b are excluded.
+    The sum is exactly rounded, so summing the terms in sorted order gives
+    the same float as summing them in input order.
     """
-    return (
-        compensated_sum(w * v * v for v, w in dist.entries if v > b)
-        / dist.total_weight
-    )
+    values, terms = dist._tail_terms
+    start = np.searchsorted(values, b, side="right")
+    return compensated_sum(terms[start:]) / dist.total_weight
 
 
 def verify_theorem(
@@ -211,11 +262,11 @@ def load_distribution_csv(source: str | IO[str]) -> EmpiricalDistribution:
     if [h.strip().lower() for h in header] != ["value", "weight"]:
         raise DistributionFormatError(1, f"expected header `value,weight`, got {header}")
 
-    pairs = []
-    blanks_at = []  # len(pairs) at each skipped blank row, to map pairs back to lines
+    values, weights = [], []
+    blanks_at = []  # len(values) at each skipped blank row, to map rows back to lines
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
-            blanks_at.append(len(pairs))
+            blanks_at.append(len(values))
             continue
         if len(row) != 2:
             raise DistributionFormatError(line_no, f"expected 2 fields, got {len(row)}")
@@ -226,21 +277,12 @@ def load_distribution_csv(source: str | IO[str]) -> EmpiricalDistribution:
             raise DistributionFormatError(
                 line_no, f"non-numeric entry {row!r}"
             ) from None
-        pairs.append((value, weight))
-    if not pairs:
+        values.append(value)
+        weights.append(weight)
+    if not values:
         raise DistributionFormatError(2, "no data rows")
     try:
-        return EmpiricalDistribution.from_pairs(pairs)
-    except ValueError as exc:
-        # only the error path pays for finding the first row rejected on its own
-        bad = next(i for i, pair in enumerate(pairs) if not _accepted(pair))
-        line = 2 + bad + sum(n <= bad for n in blanks_at)
+        return EmpiricalDistribution(np.column_stack((values, weights)))
+    except InvalidEntryError as exc:
+        line = 2 + exc.index + sum(n <= exc.index for n in blanks_at)
         raise DistributionFormatError(line, str(exc)) from None
-
-
-def _accepted(pair: tuple[float, float]) -> bool:
-    try:
-        EmpiricalDistribution.from_pairs([pair])
-    except ValueError:
-        return False
-    return True

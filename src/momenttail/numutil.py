@@ -9,20 +9,33 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 THREADS_ENV_VAR = "MTL_THREADS"
 
 # exp overflows float64 just above this
 _EXP_MAX = 709.0
 
 
-def compensated_sum(values: Iterable[float]) -> float:
-    """Sum floats without accumulation error (Shewchuk exact summation)."""
+def compensated_sum(values: Iterable[float] | np.ndarray) -> float:
+    """Sum floats without accumulation error (Shewchuk exact summation).
+
+    A 1-D numpy array is read through its buffer, without building a list.
+    The sum is exactly rounded, so it does not depend on the order of values.
+    """
+    if isinstance(values, np.ndarray):
+        values = memoryview(values)
     return math.fsum(values)
 
 
 def compensated_dot(a, b) -> float:
-    """Exactly-rounded sum of elementwise products of two equal-length sequences."""
-    return math.fsum(x * y for x, y in zip(a, b, strict=True))
+    """Exactly-rounded sum of elementwise products of two equal-length sequences.
+
+    The products are the float64 products x * y, formed by numpy.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"compensated_dot needs equal lengths, got {len(a)} and {len(b)}")
+    return compensated_sum(np.multiply(a, b, dtype=np.float64))
 
 
 @lru_cache(maxsize=None)

@@ -110,9 +110,9 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _adjugate(rows: list[list[int]]) -> list[list[int]]:
-    """adj A of a non-singular integer matrix, by fraction-free Gauss-Jordan
-    elimination on [A | I]; every division below is exact.
+def _adjugate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of a non-singular integer matrix, by fraction-free
+    Gauss-Jordan elimination on [A | I]; every division below is exact.
 
     After the last step the left block is p I, p = +-det A the last pivot, and
     the right block is p A^-1 = +-adj A, the sign being that of the row swaps.
@@ -140,7 +140,7 @@ def _adjugate(rows: list[list[int]]) -> list[list[int]]:
                 aik = a[i][0]
                 a[i] = [(x * pivot - aik * y) // prev for x, y in zip(a[i][1:], row_k)]
         prev = pivot
-    return [[sign * x for x in row] for row in a]
+    return sign * prev, [[sign * x for x in row] for row in a]
 
 
 # A flip at slot (i, j) with current sign s = a_ij gives A' = A + U W with
@@ -645,12 +645,11 @@ def search_high_det(
     while evals < budget:
         signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
         rows = _matrices(n, signs, convention)[0].tolist()
-        det = _bareiss(rows)
+        det, adj = _adjugate(rows)
         evals += 1
         cur_det = abs(det)
         if cur_det > best_det:
             best_det, best_upper = cur_det, tuple(rows[i][j] for i, j in slots)
-        adj = _adjugate(rows)
 
         improved = True
         while improved and evals < budget:

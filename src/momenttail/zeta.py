@@ -396,7 +396,7 @@ def tail_moment_report(
 
     xi_values = H * z2 / i2
     # Simpson weights are positive, so (xi, w) is a valid finite distribution
-    dist = EmpiricalDistribution(tuple(zip(xi_values.tolist(), w.tolist())))
+    dist = EmpiricalDistribution(np.column_stack((xi_values, w)))
     e_xi = moment(dist, 1)
     a = moment(dist, 2)
     b = COEFF_LOW * math.log(T) ** 2

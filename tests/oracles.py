@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code path it checks: the zeta oracles run
 in mpmath arithmetic with their own series, the determinant oracle is plain
-cofactor expansion, and the involution oracle walks every permutation.
+cofactor expansion, the involution oracle walks every permutation, and the
+distribution oracles sum per-entry generators over (value, weight) pairs.
 """
 
 import itertools
@@ -85,3 +86,41 @@ def trapezoid_moment(zeta_values, step: float, k: int) -> float:
     """Trapezoid-rule moment over equally spaced |zeta| samples."""
     zk = [z**k for z in zeta_values]
     return step * (math.fsum(zk) - 0.5 * (zk[0] + zk[-1]))
+
+
+# Finite distributions as tuples of (value, weight) pairs, summed entry by
+# entry in input order.  math.fsum is exactly rounded, so an implementation
+# that forms the same products must agree bit for bit.
+
+
+def total_weight_oracle(pairs) -> float:
+    return math.fsum(w for _, w in pairs)
+
+
+def mean_oracle(pairs) -> float:
+    return math.fsum(v * w for v, w in pairs) / total_weight_oracle(pairs)
+
+
+def normalize_oracle(pairs) -> tuple[tuple[float, float], ...]:
+    total, mean = total_weight_oracle(pairs), mean_oracle(pairs)
+    return tuple((v / mean, w / total) for v, w in pairs)
+
+
+def moment_oracle(pairs, k: int) -> float:
+    return math.fsum(w * v**k for v, w in pairs) / total_weight_oracle(pairs)
+
+
+def tail_second_moment_oracle(pairs, b: float) -> float:
+    return math.fsum(w * v * v for v, w in pairs if v > b) / total_weight_oracle(pairs)
+
+
+def rejection_oracle(pairs) -> str | None:
+    """Message for the first rejected entry, checks in order, or None."""
+    for value, weight in pairs:
+        if not (math.isfinite(value) and math.isfinite(weight)):
+            return "values and weights must be finite"
+        if value < 0:
+            return f"negative value {value}"
+        if weight <= 0:
+            return f"non-positive weight {weight}"
+    return None

@@ -12,6 +12,7 @@ it only when a change to the output is intended.
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,34 @@ from momenttail import cli
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = {"json": "json", "csv": "csv", "human": "txt"}
 DIST = str(GOLDEN / "dist.csv")
+HEAVY = GOLDEN / "dist-heavy.csv"
+#: cutoffs on the normalized heavy file (a = 5.7498): ten sit exactly on atoms
+#: (0, the two most repeated values, five quantiles and the two largest
+#: values), the rest between atoms or above the maximum
+HEAVY_CUTOFFS = ["0.0", "0.012699480519839068", "0.0141105339109323", "0.25", "0.5",
+                 "0.582765050521504", "1.0", "1.2431380375531356", "1.5", "2.0",
+                 "2.362103376690067", "3.0", "4.3460444445671484", "5.0", "5.7",
+                 "15.404469870564792", "40.673613998262354", "62.71991218070298",
+                 "63.0", "100.0"]
+
+
+def heavy_csv(rows: int = 5000, seed: int = 2011) -> str:
+    """Lomax(2.5) values on a 0.001 grid (so values repeat) with random weights."""
+    rng = random.Random(seed)
+    lines = ["value,weight\n"]
+    for _ in range(rows):
+        value = round(rng.paretovariate(2.5) - 1.0, 3)
+        weight = round(rng.uniform(0.5, 2.0), 4)
+        lines.append(f"{value!r},{weight!r}\n")
+    return "".join(lines)
+
 
 #: name -> (argv, exact)
 CASES = {
     "theorem-check": (["theorem", "check", "--input", DIST,
                        "--b", "0", "--b", "0.5", "--b", "1.5", "--b", "40"], True),
+    "theorem-check-heavy": (["theorem", "check", "--input", str(HEAVY)]
+                            + [arg for b in HEAVY_CUTOFFS for arg in ("--b", b)], True),
     "zeta-moments-k2": (["zeta", "moments", "--T", "10", "--H", "60", "--k", "2",
                          "--step", "0.1"], False),
     "zeta-moments-k4": (["zeta", "moments", "--T", "100", "--H", "500", "--k", "4",
@@ -106,6 +130,10 @@ def _assert_close(got: str, want: str, fmt: str):
             assert g == w or math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-15), (key, g, w)
         else:
             assert g == w, key
+
+
+def test_heavy_input_is_reproducible():
+    assert HEAVY.read_text(encoding="utf-8") == heavy_csv()
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

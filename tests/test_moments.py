@@ -3,6 +3,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,14 @@ from momenttail.moments import (
     verify_theorem,
 )
 from momenttail.numutil import to_json
+from oracles import (
+    mean_oracle,
+    moment_oracle,
+    normalize_oracle,
+    rejection_oracle,
+    tail_second_moment_oracle,
+    total_weight_oracle,
+)
 
 
 def dist(*pairs):
@@ -50,12 +59,12 @@ class TestConstruction:
 class TestNormalize:
     def test_identity_case(self):
         out = normalize(TWO_POINT)
-        assert out.entries == ((2.0, 0.5), (0.0, 0.5))
+        assert out.entries.tolist() == [[2.0, 0.5], [0.0, 0.5]]
         assert out.normalized
 
     def test_scaling_by_half(self):
         out = normalize(dist((4.0, 0.5), (0.0, 0.5)))
-        assert out.entries == ((2.0, 0.5), (0.0, 0.5))
+        assert out.entries.tolist() == [[2.0, 0.5], [0.0, 0.5]]
 
     def test_weight_rescaling(self):
         out = normalize(dist((3.0, 2.0), (0.0, 1.0)))
@@ -217,10 +226,114 @@ def test_tail_monotone_in_b(pairs, bs):
     assert tail_second_moment(d, d.max_value) == 0.0
 
 
+# values on a wide range plus a few repeated atoms, so ties at cutoffs occur;
+# no value is so small that v * w is subnormal, where normalize cannot reach
+# mean 1 within NORM_TOL
+wide_dists = st.lists(
+    st.tuples(
+        st.one_of(st.floats(min_value=1e-200, max_value=1e6),
+                  st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        st.floats(min_value=1e-6, max_value=1e3),
+    ),
+    min_size=1,
+    max_size=60,
+).filter(lambda pairs: math.fsum(v * w for v, w in pairs) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_dists)
+def test_array_forms_equal_generator_forms(pairs):
+    d = EmpiricalDistribution.from_pairs(pairs)
+    assert d.total_weight == total_weight_oracle(pairs)
+    assert d.mean == mean_oracle(pairs)
+    for k in range(1, 5):
+        assert moment(d, k) == moment_oracle(pairs, k)
+    norm = normalize(d)
+    assert norm.entries.tolist() == [list(p) for p in normalize_oracle(pairs)]
+
+
+def test_moment_keeps_python_power():
+    # libm pow(x, 2) differs from x*x on about 0.08% of values and numpy's
+    # x**4 from pow(x, 4) on about 5%, so 2000 draws separate the forms
+    values = np.random.default_rng(7).uniform(0.0, 10.0, 2000).tolist()
+    for x in values:
+        d = dist((x, 1.0))
+        assert [moment(d, k) for k in (2, 3, 4)] == [x**2, x**3, x**4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_dists)
+def test_tail_equals_generator_form(pairs):
+    for d in (EmpiricalDistribution.from_pairs(pairs), normalize(dist(*pairs))):
+        ref = [tuple(p) for p in d.entries.tolist()]
+        atoms = sorted(set(d.values.tolist()))
+        top = atoms[-1]
+        cutoffs = atoms + [(lo + hi) / 2 for lo, hi in zip(atoms, atoms[1:])]
+        cutoffs += [-1.0, -math.inf, top, 2 * top + 1.0, math.inf]
+        for b in cutoffs:
+            assert tail_second_moment(d, b) == tail_second_moment_oracle(ref, b), b
+
+
+class TestArrayStorage:
+    def test_arrays_are_read_only(self):
+        d = dist((2.0, 0.5), (0.0, 0.5))
+        for array in (d.values, d.weights, d.entries):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_input_array_is_copied(self):
+        pairs = np.array([[2.0, 0.5], [0.0, 0.5]])
+        d = EmpiricalDistribution(pairs)
+        pairs[0, 0] = 7.0
+        assert d.values.tolist() == [2.0, 0.0]
+
+    def test_distribution_is_immutable(self):
+        with pytest.raises(AttributeError):
+            TWO_POINT.normalized = True
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="pairs"):
+            EmpiricalDistribution([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # the first bad entry in row order, and its first failed check
+            (((1.0, 0.0), (math.inf, 1.0)), "non-positive weight 0.0"),
+            (((1.0, 1.0), (math.inf, 0.0)), "values and weights must be finite"),
+            (((-1.0, math.nan),), "values and weights must be finite"),
+            (((-1.0, 0.0),), "negative value -1.0"),
+            (((1.0, 1.0), (2.0, -0.5), (-3.0, 1.0)), "non-positive weight -0.5"),
+        ],
+    )
+    def test_mixed_bad_entries_keep_message(self, pairs, message):
+        assert rejection_oracle(pairs) == message
+        with pytest.raises(ValueError) as err:
+            EmpiricalDistribution(pairs)
+        assert str(err.value) == message
+
+
+special = st.sampled_from([0.0, -0.0, -1.0, -2.5, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.floats(-2, 5), special),
+                          st.one_of(st.floats(-1, 2), special)),
+                min_size=1, max_size=12))
+def test_rejection_message_matches_entry_loop(pairs):
+    message = rejection_oracle(pairs)
+    if message is None:
+        EmpiricalDistribution(pairs)
+    else:
+        with pytest.raises(ValueError) as err:
+            EmpiricalDistribution(pairs)
+        assert str(err.value) == message
+
+
 class TestCsvLoading:
     def test_round_trip(self):
         src = io.StringIO("value,weight\n2,0.5\n0,0.5\n")
-        assert load_distribution_csv(src).entries == ((2.0, 0.5), (0.0, 0.5))
+        assert load_distribution_csv(src).entries.tolist() == [[2.0, 0.5], [0.0, 0.5]]
 
     def test_bad_header(self):
         with pytest.raises(DistributionFormatError) as err:

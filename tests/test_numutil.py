@@ -5,7 +5,10 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momenttail import numutil
 from momenttail.numutil import (
@@ -29,8 +32,24 @@ def test_compensated_dot():
 
 
 def test_compensated_dot_length_mismatch():
+    # numpy would broadcast the length-1 side; the lengths are checked first
     with pytest.raises(ValueError):
         compensated_dot([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        compensated_dot(np.ones(3), np.ones(2))
+
+
+finite = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(finite, finite), max_size=40))
+def test_array_sums_equal_generator_sums(pairs):
+    a = np.array([x for x, _ in pairs], dtype=float)
+    b = np.array([y for _, y in pairs], dtype=float)
+    assert compensated_dot(a, b) == math.fsum(x * y for x, y in pairs)
+    assert compensated_sum(a) == math.fsum(a.tolist())
+    assert compensated_sum(a[::2]) == math.fsum(a.tolist()[::2])
 
 
 def test_log_factorial_small():

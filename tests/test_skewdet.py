@@ -618,9 +618,8 @@ class TestFlipUpdates:
     @pytest.mark.parametrize("n, convention", CASES)
     def test_adjugate(self, n, convention):
         for rows in random_rows(n, convention, [n, 7]):
-            det = _bareiss(rows)
+            det, adj = _adjugate(rows)
             assert det != 0
-            adj = _adjugate(rows)
             identity = [[det * (i == j) for j in range(n)] for i in range(n)]
             assert times(rows, adj) == identity
             assert times(adj, rows) == identity
@@ -634,7 +633,15 @@ class TestFlipUpdates:
                  for j in range(n)]
                 for i in range(n)
             ]
-            assert _adjugate(rows) == [list(col) for col in zip(*cofactor)]
+            assert _adjugate(rows)[1] == [list(col) for col in zip(*cofactor)]
+
+    @pytest.mark.parametrize("n, convention",
+                             [(n, "zero") for n in range(2, 33, 2)]
+                             + [(n, "unit") for n in range(2, 33)])
+    def test_adjugate_det_matches_bareiss(self, n, convention):
+        # search takes its start determinant from _adjugate's last pivot
+        for rows in random_rows(n, convention, [n, 14]):
+            assert _adjugate(rows)[0] == _bareiss(rows)
 
     def test_adjugate_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
@@ -643,7 +650,7 @@ class TestFlipUpdates:
     @pytest.mark.parametrize("n, convention", CASES)
     def test_every_flip_det_matches_bareiss(self, n, convention):
         for rows in random_rows(n, convention, [n, 9]):
-            det, adj = _bareiss(rows), _adjugate(rows)
+            det, adj = _adjugate(rows)
             for i in range(n):
                 for j in range(i + 1, n):
                     expected = _bareiss(flipped(rows, i, j))
@@ -652,19 +659,19 @@ class TestFlipUpdates:
     @pytest.mark.parametrize("n, convention", CASES)
     def test_flip_adjugate_matches_fresh_adjugate(self, n, convention):
         rows = random_rows(n, convention, [n, 10])[0]
-        det, adj = _bareiss(rows), _adjugate(rows)
+        det, adj = _adjugate(rows)
         for i in range(n):
             for j in range(i + 1, n):
                 new_rows = flipped(rows, i, j)
                 new_det = _bareiss(new_rows)
                 new_adj = _flip_adjugate(det, new_det, adj, i, j, rows[i][j])
-                assert new_adj == _adjugate(new_rows)
+                assert _adjugate(new_rows) == (new_det, new_adj)
 
     def test_flip_updates_chain_along_a_climb(self):
         # many accepted flips in a row keep (det, adj) exact at n = 24
         n = 24
         rows = random_rows(n, "zero", [n, 11])[0]
-        det, adj = _bareiss(rows), _adjugate(rows)
+        det, adj = _adjugate(rows)
         rng = np.random.Generator(np.random.Philox(key=[n, 12]))
         for _ in range(40):
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
@@ -672,7 +679,7 @@ class TestFlipUpdates:
             adj = _flip_adjugate(det, new_det, adj, i, j, rows[i][j])
             rows, det = flipped(rows, i, j), new_det
         assert det == _bareiss(rows)
-        assert adj == _adjugate(rows)
+        assert _adjugate(rows) == (det, adj)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_singular_only_for_odd_zero_diagonal(self, n):
