@@ -32,6 +32,9 @@ NORM_TOL = 1e-12
 #: tolerance for inequality checks on normalized quantities
 CHECK_TOL = 1e-9
 
+# smallest positive normal float64; a product below it keeps fewer bits
+_TINY = np.finfo(np.float64).tiny
+
 
 class DegenerateDistributionError(ValueError):
     """Raised when a distribution has zero mean and cannot be normalized."""
@@ -100,7 +103,26 @@ class EmpiricalDistribution:
 
     @cached_property
     def mean(self) -> float:
-        return compensated_sum(self.values * self.weights) / self.total_weight
+        products = self.values * self.weights
+        if np.all((products >= _TINY) | (self.values == 0)):
+            return compensated_sum(products) / self.total_weight
+        return math.ldexp(*self._scaled_mean)
+
+    @cached_property
+    def _scaled_mean(self) -> tuple[float, int]:
+        """(m, e) with mean = m * 2**e and m in about [0.25, 2k].
+
+        A product v * w below the normal range keeps fewer bits, so here each
+        product is formed from the mantissas of v and w and scaled by a power
+        of two relative to the largest one (an exact rescale), and the total
+        weight likewise; `mean` uses this only when some product is subnormal.
+        """
+        mv, ev = np.frexp(self.values)
+        mw, ew = np.frexp(self.weights)
+        exps = ev + ew
+        top = int(exps[self.values > 0].max())
+        mt, et = math.frexp(self.total_weight)
+        return compensated_sum(np.ldexp(mv * mw, exps - top)) / mt, top - et
 
     @property
     def max_value(self) -> float:
@@ -161,7 +183,14 @@ def normalize(dist: EmpiricalDistribution) -> EmpiricalDistribution:
     mean = dist.mean
     if mean <= 0.0:
         raise DegenerateDistributionError("all-zero values: mean is 0, cannot rescale")
-    entries = np.column_stack((dist.values / mean, dist.weights / dist.total_weight))
+    if mean >= _TINY:
+        values = dist.values / mean
+    else:
+        # a subnormal mean has too few bits to divide by; divide by its
+        # normal-range mantissa and rescale by the exact power of two
+        m, e = dist._scaled_mean
+        values = np.ldexp(dist.values, -e) / m
+    entries = np.column_stack((values, dist.weights / dist.total_weight))
     return EmpiricalDistribution(entries, normalized=True)
 
 

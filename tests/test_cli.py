@@ -36,6 +36,15 @@ class TestTheoremCheck:
         )
         assert code == 0
 
+    def test_subnormal_products_normalize(self, capsys, tmp_path):
+        # v * w is subnormal here; the mean is still found exactly
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("value,weight\n2.2250738585072014e-308,1e-06\n", encoding="utf-8")
+        code, out, err = run(capsys, ["theorem", "check", "--input", str(tiny), "--b", "0.5"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["a"], payload["max"]) == (1.0, 1.0)
+
     def test_malformed_csv_exits_2_with_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("value,weight\n1,1\noops,3\n", encoding="utf-8")

@@ -2,10 +2,12 @@
 
 import io
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momenttail.moments import (
@@ -76,6 +78,20 @@ class TestNormalize:
     def test_zero_mean_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             normalize(dist((0.0, 1.0), (0.0, 2.0)))
+
+    @pytest.mark.parametrize("pairs", [
+        [(2.2250738585072014e-308, 1e-06)],  # normal value, subnormal product
+        [(5e-324, 1e-06)],  # product underflows to 0
+        [(1e-320, 1e-06), (3e-322, 0.5)],
+        [(1e-307, 1.0), (0.0, 1e15)],  # normal product, subnormal mean
+    ])
+    def test_subnormal_products_reach_unit_mean(self, pairs):
+        d = dist(*pairs)
+        exact = exact_mean(pairs)
+        assert d.mean == pytest.approx(float(exact), rel=1e-15, abs=5e-324)
+        out = normalize(d)
+        assert out.mean == pytest.approx(1.0, abs=1e-15)
+        assert out.values.tolist() == pytest.approx([float(Fraction(v) / exact) for v, _ in pairs])
 
 
 class TestMoment:
@@ -163,6 +179,8 @@ class TestMaxLowerBound:
         assert root * max_lower_bound(m1, m2) == pytest.approx(2.4, abs=1e-12)
 
 
+# values reach down to the subnormal range, so products v * w may be
+# subnormal or underflow to 0; only an all-zero support is left out
 finite_dists = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=10.0),
@@ -170,7 +188,17 @@ finite_dists = st.lists(
     ),
     min_size=1,
     max_size=30,
-).filter(lambda pairs: sum(v * w for v, w in pairs) > 1e-9)
+).filter(lambda pairs: any(v > 0 for v, _ in pairs))
+
+
+def normal_products(pairs) -> bool:
+    """No nonzero value meets its weight in a product below the normal range."""
+    return all(v == 0 or v * w >= sys.float_info.min for v, w in pairs)
+
+
+def exact_mean(pairs) -> Fraction:
+    return (sum(Fraction(v) * Fraction(w) for v, w in pairs)
+            / sum(Fraction(w) for _, w in pairs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,6 +227,9 @@ def test_theorem_holds_on_random_support(pairs):
 @settings(max_examples=100, deadline=None)
 @given(finite_dists, st.floats(min_value=1e-3, max_value=1e3))
 def test_scale_invariance(pairs, c):
+    # scaling a value that is (or becomes) subnormal drops bits, so the
+    # scaled distribution is not the same one
+    assume(all(v == 0 or min(v, v * c) >= sys.float_info.min for v, _ in pairs))
     base = EmpiricalDistribution.from_pairs(pairs)
     scaled = EmpiricalDistribution.from_pairs([(v * c, w) for v, w in pairs])
     # the strict tail threshold is discontinuous at atoms, so compare at
@@ -226,18 +257,17 @@ def test_tail_monotone_in_b(pairs, bs):
     assert tail_second_moment(d, d.max_value) == 0.0
 
 
-# values on a wide range plus a few repeated atoms, so ties at cutoffs occur;
-# no value is so small that v * w is subnormal, where normalize cannot reach
-# mean 1 within NORM_TOL
+# values on a wide range, down to subnormal ones, plus a few repeated atoms,
+# so ties at cutoffs occur
 wide_dists = st.lists(
     st.tuples(
-        st.one_of(st.floats(min_value=1e-200, max_value=1e6),
+        st.one_of(st.floats(min_value=0.0, max_value=1e6),
                   st.sampled_from([0.0, 0.5, 1.0, 3.0])),
         st.floats(min_value=1e-6, max_value=1e3),
     ),
     min_size=1,
     max_size=60,
-).filter(lambda pairs: math.fsum(v * w for v, w in pairs) > 0)
+).filter(lambda pairs: any(v > 0 for v, _ in pairs))
 
 
 @settings(max_examples=300, deadline=None)
@@ -245,11 +275,17 @@ wide_dists = st.lists(
 def test_array_forms_equal_generator_forms(pairs):
     d = EmpiricalDistribution.from_pairs(pairs)
     assert d.total_weight == total_weight_oracle(pairs)
-    assert d.mean == mean_oracle(pairs)
     for k in range(1, 5):
         assert moment(d, k) == moment_oracle(pairs, k)
     norm = normalize(d)
-    assert norm.entries.tolist() == [list(p) for p in normalize_oracle(pairs)]
+    assert norm.mean == pytest.approx(1.0, abs=1e-12)
+    if normal_products(pairs):
+        assert d.mean == mean_oracle(pairs)
+        if d.mean >= sys.float_info.min:  # a subnormal mean is divided by exactly rescaled
+            assert norm.entries.tolist() == [list(p) for p in normalize_oracle(pairs)]
+    else:
+        # the exact power-of-two rescale keeps the mean to a few ulps
+        assert d.mean == pytest.approx(float(exact_mean(pairs)), rel=1e-15, abs=5e-324)
 
 
 def test_moment_keeps_python_power():

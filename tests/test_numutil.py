@@ -1,8 +1,8 @@
 """Tests for the shared numeric helpers."""
 
 import math
+import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,31 +97,6 @@ def test_resolve_threads_env(monkeypatch):
         resolve_threads(None)
 
 
-@pytest.fixture()
-def pool_sizes(monkeypatch):
-    """Swap in an executor that records max_workers and runs inline (no threads)."""
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(numutil, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(numutil.os, "cpu_count", lambda: 64)
-    return sizes
-
-
 def test_chunked_map_keeps_chunk_order(monkeypatch):
     monkeypatch.setattr(numutil.os, "cpu_count", lambda: 4)
 
@@ -136,22 +111,12 @@ def test_chunked_map_keeps_chunk_order(monkeypatch):
 
 
 @pytest.mark.parametrize("threads, chunks", [(1, 5), (8, 1), (8, 0)])
-def test_chunked_map_serial_without_pool(pool_sizes, threads, chunks):
-    result = chunked_map(lambda i: -i, [(i,) for i in range(chunks)], threads)
-    assert result == [-i for i in range(chunks)]
-    assert pool_sizes == []
-
-
-@pytest.mark.parametrize("threads, chunks, cpus, workers", [
-    (8, 3, 64, 3),
-    (3, 10, 64, 3),
-    (8, 10, 2, 2),
-])
-def test_chunked_map_worker_cap(pool_sizes, monkeypatch, threads, chunks, cpus, workers):
-    monkeypatch.setattr(numutil.os, "cpu_count", lambda: cpus)
-    result = chunked_map(lambda i: i, [(i,) for i in range(chunks)], threads)
-    assert result == list(range(chunks))
-    assert pool_sizes == [workers]
+def test_chunked_map_serial_without_pool(monkeypatch, threads, chunks):
+    # every chunk runs in the calling thread, whatever threads and cpu count say
+    monkeypatch.setattr(numutil.os, "cpu_count", lambda: 64)
+    caller = threading.get_ident()
+    result = chunked_map(lambda i: (-i, threading.get_ident()), [(i,) for i in range(chunks)], threads)
+    assert result == [(-i, caller) for i in range(chunks)]
 
 
 def test_chunked_map_rejects_bad_threads():

@@ -1,6 +1,7 @@
 """Tests for exact/Monte Carlo skew sign-matrix determinant statistics."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -478,11 +479,16 @@ class TestMonteCarlo:
         assert one == four
 
     def test_runs_chunks_without_a_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("mc_stats started a thread pool")
+        # every chunk runs in the calling thread, also at threads=2
+        chunk, callers = skewdet._mc_chunk, set()
 
-        monkeypatch.setattr("momenttail.numutil.ThreadPoolExecutor", no_pool)
+        def recording_chunk(*args):
+            callers.add(threading.get_ident())
+            return chunk(*args)
+
+        monkeypatch.setattr(skewdet, "_mc_chunk", recording_chunk)
         assert mc_stats(6, 9_000, seed=5, threads=2) == mc_stats(6, 9_000, seed=5)
+        assert callers == {threading.get_ident()}
 
     def test_memory_bounded_at_n_limit(self):
         # 100 samples at n = 80 run as five _modular_dets calls of 20 matrices:

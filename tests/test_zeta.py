@@ -1,10 +1,17 @@
 """Tests for the |zeta| evaluators, moment quadrature and tail reports."""
 
 import math
+import tracemalloc
+from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from momenttail import zeta
+from momenttail.moments import moment
 from momenttail.zeta import (
     COEFF_LOW,
     COEFF_HIGH,
@@ -13,6 +20,7 @@ from momenttail.zeta import (
     fourth_moment_leading_term,
     ingham_main_term,
     moment_integral,
+    riemann_siegel_theta,
     tail_moment_report,
     zeta_abs,
     zeta_abs_euler_maclaurin,
@@ -20,7 +28,13 @@ from momenttail.zeta import (
     zeta_abs_riemann_siegel,
 )
 
-from oracles import zeta_abs_em_oracle, zeta_abs_eta_oracle, trapezoid_moment
+from oracles import (
+    rs_main_sum_masked,
+    trapezoid_moment,
+    zeta_abs_em_exp_outer,
+    zeta_abs_em_oracle,
+    zeta_abs_eta_oracle,
+)
 
 FIRST_ZERO = 14.134725142
 
@@ -106,18 +120,110 @@ class TestEvaluator:
             zeta_abs(-1.0)
 
     def test_grid_matches_scalar(self):
-        # the adaptive EM truncation depends on the batch max, so scalar and
-        # batched evaluations may differ at roundoff level but no more
+        # each value depends on its own t alone, so batching changes no bit
         ts = np.array([0.0, 10.0, 49.0, 51.0, 200.0])
         grid = zeta_abs_grid(ts)
-        for t, g in zip(ts, grid):
-            assert zeta_abs(float(t)) == pytest.approx(g, abs=1e-10)
+        assert [zeta_abs(float(t)) for t in ts] == grid.tolist()
 
     def test_grid_thread_count_does_not_change_values(self):
         ts = np.linspace(0.0, 400.0, 20000)
         a = zeta_abs_grid(ts, threads=1)
         b = zeta_abs_grid(ts, threads=4)
         assert np.array_equal(a, b)
+
+
+ts_lists = st.lists(st.floats(min_value=0.0, max_value=300.0), min_size=1, max_size=40)
+
+
+class TestDirichletKernel:
+    """The multiplicative Dirichlet kernel behind both evaluation routes."""
+
+    def test_em_against_exp_outer_oracle(self):
+        ts = np.linspace(0.0, 200.0, 2001)
+        diff = zeta_abs_euler_maclaurin(ts) - zeta_abs_em_exp_outer(ts)
+        assert float(np.max(np.abs(diff))) <= 1e-12
+
+    def test_rs_against_masked_loop(self):
+        ts = np.linspace(10.0, 5000.0, 20001)
+        main = rs_main_sum_masked(ts, riemann_siegel_theta(ts))
+        diff = zeta_abs_riemann_siegel(ts, correction_terms=0) - np.abs(main)
+        assert float(np.max(np.abs(diff))) <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.1, 14.134725142, 77.7, 199.0])
+    def test_em_against_mpmath(self, t):
+        with mp.workdps(30):
+            ref = float(abs(mp.zeta(mp.mpc(0.5, t))))
+        assert zeta_abs_euler_maclaurin([t])[0] == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("t, N", [(0.0, 16), (3.0, 24), (150.0, 313), (1000.0, 12)])
+    def test_sums_against_mpmath(self, t, N):
+        with mp.workdps(30):
+            s = mp.mpc(0.5, t)
+            ref = complex(mp.fsum(mp.power(n, -s) for n in range(1, N + 1)))
+        assert abs(zeta._dirichlet([t], N)[0] - ref) <= 1e-12
+
+    def test_per_node_bounds(self):
+        ts = np.array([5.0, 120.0, 0.3, 60.0, 7.5])
+        bounds = np.array([40, 0, 1, 250, 97])
+        alone = [zeta._dirichlet([t], n)[0] for t, n in zip(ts, bounds)]
+        assert zeta._dirichlet(ts, bounds).tolist() == alone
+        assert alone[1] == 0 and alone[2] == 1
+
+    def test_bucket_truncation_never_below_point_rule(self):
+        ts = np.linspace(0.0, 1000.0, 40001)
+        N = zeta._em_terms(ts)
+        assert np.all(N >= np.maximum(16, np.ceil(2 * ts) + 8))
+        assert zeta._em_terms(np.array([0.5, 8.0, 8.01, 16.0])).tolist() == [24, 24, 40, 40]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ts_lists)
+    def test_grid_equals_scalar(self, ts):
+        assert zeta_abs_grid(ts).tolist() == [zeta_abs(t) for t in ts]
+
+    @settings(max_examples=40, deadline=None)
+    @given(ts_lists, st.integers(1, 7), st.integers(200, 20_000))
+    def test_chunking_and_blocks_do_not_change_values(self, ts, chunk, budget):
+        expected = zeta_abs_grid(ts)
+        with mock.patch.object(zeta, "_EVAL_CHUNK", chunk), \
+                mock.patch.object(zeta, "DIRICHLET_BYTES", budget):
+            assert zeta_abs_grid(ts).tolist() == expected.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=300.0), ts_lists)
+    def test_neighbours_do_not_change_a_value(self, t, others):
+        assert zeta_abs_grid([t] + others)[0] == zeta_abs_grid([t])[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=20),
+           st.integers(1, 300))
+    def test_n_terms_honoured(self, ts, n_terms):
+        got = zeta_abs_euler_maclaurin(ts, n_terms=n_terms)
+        ref = zeta_abs_em_exp_outer(ts, n_terms=n_terms)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert got.tolist() == [zeta_abs_euler_maclaurin([t], n_terms)[0] for t in ts]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-3, max_value=2 * math.pi - 1e-9), min_size=1, max_size=10),
+           st.lists(st.floats(min_value=2 * math.pi, max_value=500.0), max_size=10))
+    def test_rs_nodes_below_2pi_have_empty_main_sum(self, low, high):
+        ts = low + high
+        assert zeta_abs_riemann_siegel(low, correction_terms=0).tolist() == [0.0] * len(low)
+        for k in (0, 1, 2):
+            mixed = zeta_abs_riemann_siegel(ts, correction_terms=k)
+            assert mixed.tolist() == [zeta_abs_riemann_siegel([t], k)[0] for t in ts]
+
+    def test_em_memory_bounded_near_t1000(self):
+        # 8001 nodes at N up to 2408: a (nodes x N) complex128 temporary would
+        # be 308 MB; the kernel keeps at most DIRICHLET_BYTES (8 MiB) of rows,
+        # plus a few per-node arrays, a ceiling that more nodes do not raise
+        ts = 1000.0 + 0.025 * np.arange(8001)
+        tracemalloc.start()
+        try:
+            zeta_abs_euler_maclaurin(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestMainTerms:
@@ -227,3 +333,14 @@ class TestTailReport:
     def test_small_T_rejected(self):
         with pytest.raises(ValueError):
             tail_moment_report(5.0, 100.0)
+
+    @pytest.mark.parametrize("T, H", [(100.0, 20.0), (500.0, 100.0), (3000.0, 50.0)])
+    def test_e_xi_is_the_first_moment(self, T, H):
+        # e_xi is read from the distribution's mean; pow(v, 1.0) is v, so
+        # the first moment is the same float
+        ts, w, _ = zeta._simpson_grid(T, H, 0.05)
+        z2 = zeta_abs_grid(ts) ** 2
+        i2 = zeta.compensated_dot(w, z2)
+        dist = zeta.EmpiricalDistribution(np.column_stack((H * z2 / i2, w)))
+        assert dist.mean == moment(dist, 1)
+        assert tail_moment_report(T, H).e_xi == dist.mean
