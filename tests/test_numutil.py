@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momenttail import numutil
 from momenttail.numutil import (
     LogReal,
     chunked_map,
@@ -97,9 +96,7 @@ def test_resolve_threads_env(monkeypatch):
         resolve_threads(None)
 
 
-def test_chunked_map_keeps_chunk_order(monkeypatch):
-    monkeypatch.setattr(numutil.os, "cpu_count", lambda: 4)
-
+def test_chunked_map_keeps_chunk_order():
     def square(i):
         time.sleep(0.002 * (8 - i))  # early chunks finish last
         return i * i
@@ -111,9 +108,8 @@ def test_chunked_map_keeps_chunk_order(monkeypatch):
 
 
 @pytest.mark.parametrize("threads, chunks", [(1, 5), (8, 1), (8, 0)])
-def test_chunked_map_serial_without_pool(monkeypatch, threads, chunks):
-    # every chunk runs in the calling thread, whatever threads and cpu count say
-    monkeypatch.setattr(numutil.os, "cpu_count", lambda: 64)
+def test_chunked_map_serial_without_pool(threads, chunks):
+    # every chunk runs in the calling thread, whatever threads says
     caller = threading.get_ident()
     result = chunked_map(lambda i: (-i, threading.get_ident()), [(i,) for i in range(chunks)], threads)
     assert result == [(-i, caller) for i in range(chunks)]

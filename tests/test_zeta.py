@@ -126,6 +126,7 @@ class TestEvaluator:
         assert [zeta_abs(float(t)) for t in ts] == grid.tolist()
 
     def test_grid_thread_count_does_not_change_values(self):
+        # chunks run serially, so this shows that any valid threads is accepted
         ts = np.linspace(0.0, 400.0, 20000)
         a = zeta_abs_grid(ts, threads=1)
         b = zeta_abs_grid(ts, threads=4)
@@ -292,6 +293,7 @@ class TestMomentIntegral:
         assert i4 * 50.0 >= i2**2 * (1 - 1e-9)
 
     def test_thread_count_does_not_change_value(self):
+        # chunks run serially, so this shows that any valid threads is accepted
         a = moment_integral(100.0, 50.0, 2, convergence_check=False, threads=1)
         b = moment_integral(100.0, 50.0, 2, convergence_check=False, threads=3)
         assert a.value == b.value
