@@ -3,8 +3,11 @@
 Every command emits one report (JSON by default) on stdout or --out.  JSON is
 serialized with sorted keys and fixed formatting, so identical argv produces
 byte-identical output; big integers are decimal strings.  Exit codes: 0 ok,
-1 failed --assert or violated exact inequality, 2 bad flags or malformed
-input files.
+1 failed --assert or violated exact inequality, 2 bad flags, malformed input
+files or an unreadable or unwritable path.
+
+main() parses with one parser, built once per process, so in-process callers
+pay argparse construction once; build_parser() still returns a fresh parser.
 """
 
 import argparse
@@ -12,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import moments, skewdet, symchar, zeta
 from .moments import DistributionFormatError, TheoremViolationError
@@ -299,9 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() shares across calls: parse_args keeps no state
+    between calls, and help is formatted at the width current when asked."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg = RunConfig(
         fmt=args.fmt,
         out_path=args.out_path,
@@ -315,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except DistributionFormatError as exc:
         print(f"error: malformed distribution CSV: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, or not permitted
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TheoremViolationError as exc:

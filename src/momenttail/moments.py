@@ -178,18 +178,27 @@ def normalize(dist: EmpiricalDistribution) -> EmpiricalDistribution:
     """Rescale weights to total 1 and values by 1/mean, so the mean becomes 1.
 
     The relative multiset of (value/mean, weight/total) is preserved.  Raises
-    DegenerateDistributionError when all values are zero (mean 0).
+    DegenerateDistributionError when all values are zero (mean 0), and
+    ValueError when some value/mean overflows float64.
     """
     mean = dist.mean
     if mean <= 0.0:
         raise DegenerateDistributionError("all-zero values: mean is 0, cannot rescale")
-    if mean >= _TINY:
-        values = dist.values / mean
-    else:
-        # a subnormal mean has too few bits to divide by; divide by its
-        # normal-range mantissa and rescale by the exact power of two
-        m, e = dist._scaled_mean
-        values = np.ldexp(dist.values, -e) / m
+    with np.errstate(over="ignore"):
+        if mean >= _TINY:
+            values = dist.values / mean
+        else:
+            # a subnormal mean has too few bits to divide by; divide by its
+            # normal-range mantissa and rescale by the exact power of two
+            m, e = dist._scaled_mean
+            values = np.ldexp(dist.values, -e) / m
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"value/mean overflows float64: entry {i} has value "
+            f"{dist.values[i].item()!r} and the mean is {mean!r}"
+        )
     entries = np.column_stack((values, dist.weights / dist.total_weight))
     return EmpiricalDistribution(entries, normalized=True)
 

@@ -63,6 +63,13 @@ DIRICHLET_BYTES = 8 << 20
 #: width in |t| of the buckets that share one Euler-Maclaurin truncation
 EM_BUCKET = 8
 
+#: longest Dirichlet sum either route may ask for.  Riemann-Siegel takes
+#: floor(sqrt(t/2pi)) terms, so it accepts t < 2pi * 3990^2 (about 1.0003e8);
+#: Euler-Maclaurin takes _em_terms(t), so it accepts t <= 1984.  The cost per
+#: node grows like N, so far larger t would run for hours, and near t = 1e30
+#: the prime sieve alone would need petabytes.
+DIRICHLET_MAX_TERMS = 3989
+
 
 def _require_finite(**values: float):
     """Reject NaN and +-inf flags before they reach a grid or a report."""
@@ -263,6 +270,27 @@ def zeta_abs_riemann_siegel(ts, correction_terms: int = 2) -> np.ndarray:
     return np.abs(z)
 
 
+def _check_terms(ts: np.ndarray, cfg: ZetaEvalConfig):
+    """Reject a grid whose Dirichlet sums would exceed DIRICHLET_MAX_TERMS.
+
+    Both term counts grow with t, so each route's largest t is compared with
+    the largest t it accepts; a huge t meets no int64 cast on the way.
+    """
+    small = ts <= cfg.t_switch
+    em_limit = EM_BUCKET * ((DIRICHLET_MAX_TERMS - 8) // (2 * EM_BUCKET))
+    if small.any() and ts[small].max() > em_limit:
+        raise ValueError(
+            f"t = {ts[small].max().item()!r} is too large for the Euler-Maclaurin "
+            f"route: it accepts t <= {em_limit} (lower t_switch to use Riemann-Siegel)"
+        )
+    rs_limit = 2 * math.pi * (DIRICHLET_MAX_TERMS + 1) ** 2
+    if (~small).any() and ts[~small].max() >= rs_limit:
+        raise ValueError(
+            f"t = {ts[~small].max().item()!r} is too large for the Riemann-Siegel "
+            f"route: it accepts t < {rs_limit:.6g} ({DIRICHLET_MAX_TERMS} Dirichlet terms)"
+        )
+
+
 def _eval_grid(ts: np.ndarray, cfg: ZetaEvalConfig) -> np.ndarray:
     out = np.empty_like(ts)
     small = ts <= cfg.t_switch
@@ -280,11 +308,14 @@ def zeta_abs_grid(
 
     Every value depends only on its own t and cfg, so it does not change with
     the chunking, the neighbouring points or threads (validated, then unused:
-    chunks run serially).
+    chunks run serially).  A t whose route would need more than
+    DIRICHLET_MAX_TERMS Dirichlet terms raises ValueError before any node is
+    evaluated.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts < 0):
         raise ValueError("t must be non-negative")
+    _check_terms(ts, cfg)
     chunks = [(ts[i : i + _EVAL_CHUNK], cfg) for i in range(0, ts.size, _EVAL_CHUNK)]
     parts = chunked_map(_eval_grid, chunks, threads)
     return np.concatenate(parts) if parts else np.empty_like(ts)

@@ -1,6 +1,10 @@
 """CLI contract tests: flags, exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,30 @@ class TestTheoremCheck:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, ["theorem", "check", "--input", "/nonexistent.csv"])
         assert code == 2
+
+    def test_directory_input_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["theorem", "check", "--input", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_unreadable_input_exits_2(self, capsys, dist_csv, monkeypatch):
+        def denied(source):
+            raise PermissionError(13, "Permission denied", source)
+
+        monkeypatch.setattr(cli.moments, "load_distribution_csv", denied)
+        code, out, err = run(capsys, ["theorem", "check", "--input", dist_csv])
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 13] Permission denied: {dist_csv!r}\n"
+
+    def test_overflowing_normalization_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("value,weight\n1e300,1e-300\n1e-300,1e300\n", encoding="utf-8")
+        code, out, err = run(capsys, ["theorem", "check", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: value/mean overflows float64: entry 0 has value 1e+300 "
+            "and the mean is 2e-300\n"
+        )
 
     def test_violation_maps_to_exit_1(self, capsys, dist_csv, monkeypatch):
         def boom(dist, grid):
@@ -118,6 +146,29 @@ class TestFlagHandling:
         assert code == 2
         assert out == ""
         assert "threads" in err.lower()
+
+    def test_directory_out_path_exits_2(self, capsys, tmp_path):
+        argv = ["zeta", "moments", "--T", "10", "--H", "1", "--k", "2", "--out", str(tmp_path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            (["zeta", "tail", "--T", "1e30", "--H", "1", "--step", "0.1"], "Riemann-Siegel"),
+            (["zeta", "tail", "--T", "1e17", "--H", "1", "--step", "0.1"], "Riemann-Siegel"),
+            (["zeta", "moments", "--T", "1e300", "--H", "1", "--k", "2"], "Riemann-Siegel"),
+            (["zeta", "moments", "--T", "1980", "--H", "10", "--k", "2", "--t-switch", "5000"],
+             "Euler-Maclaurin"),
+        ],
+    )
+    def test_zeta_window_too_long_exits_2(self, capsys, argv, route):
+        # rejected before any node is evaluated, with the largest t accepted
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: t = ") and f"{route} route: it accepts t " in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("convention, sum_absdet", [("zero", "0"), ("unit", "486539264")])
     def test_enum_n7_runs(self, capsys, convention, sum_absdet):
@@ -282,3 +333,64 @@ class TestRepro:
         chars = payload["character_degrees"]
         assert chars["n"] == 25
         assert chars["bound_satisfied"] is True
+
+
+def _fresh_interpreter(argv):
+    """Reply of `mtl argv` from a new process: its parser is built anew."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "MTL_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "momenttail.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestSharedParser:
+    """main() keeps one parser per process; calls must not leak into each other."""
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_repeated_flag_does_not_leak(self, capsys, monkeypatch, dist_csv):
+        monkeypatch.delenv("MTL_THREADS", raising=False)
+        code, out, _ = run(capsys, ["theorem", "check", "--input", dist_csv, "--b", "0.5", "--b", "1.0"])
+        assert code == 0 and len(json.loads(out)["checks"]) == 2
+        argv = ["theorem", "check", "--input", dist_csv]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checks"] == []
+        assert (code, out, err) == _fresh_interpreter(argv)
+
+    def test_rejected_argv_leaves_no_state(self, capsys):
+        argv = ["skewdet", "mc", "--n", "4", "--samples", "100", "--seed", "2"]
+        code, before, _ = run(capsys, argv)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["skewdet", "mc", "--n", "5", "--samples", "x", "--seed", "9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, argv) == (0, before, "")
+
+    def test_threads_flag_does_not_stick(self, capsys, monkeypatch):
+        monkeypatch.setenv("MTL_THREADS", "junk")
+        argv = ["skewdet", "enum", "--n", "3"]
+        code, out, err = run(capsys, argv + ["--threads", "2"])
+        assert (code, err) == (0, "")
+        # without the flag the second call falls back to $MTL_THREADS
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: MTL_THREADS must be an integer, got 'junk'\n"
+
+    @pytest.mark.parametrize("columns", ["60", "200"])
+    def test_help_formatted_at_current_width(self, capsys, monkeypatch, columns):
+        cli._parser()
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out == cli.build_parser().format_help()
+        assert max(len(line) for line in out.splitlines()) <= int(columns)

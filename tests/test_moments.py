@@ -93,6 +93,16 @@ class TestNormalize:
         assert out.mean == pytest.approx(1.0, abs=1e-15)
         assert out.values.tolist() == pytest.approx([float(Fraction(v) / exact) for v, _ in pairs])
 
+    @pytest.mark.parametrize("pairs", [
+        [(1e300, 1e-300), (1e-300, 1e300)],  # mean 2e-300: 1e300 / mean is 5e599
+        [(1e300, 1e-300), (0.0, 1.7e308)],  # subnormal mean, rescaled route
+    ])
+    def test_overflowing_value_over_mean_rejected(self, pairs):
+        # a ValueError about the input, not a RuntimeWarning and a complaint
+        # about the normalized result
+        with pytest.raises(ValueError, match="value/mean overflows float64: entry 0"):
+            normalize(dist(*pairs))
+
 
 class TestMoment:
     def test_two_point_second(self):

@@ -125,6 +125,21 @@ class TestEvaluator:
         grid = zeta_abs_grid(ts)
         assert [zeta_abs(float(t)) for t in ts] == grid.tolist()
 
+    def test_dirichlet_length_capped_on_both_routes(self):
+        wide = ZetaEvalConfig(t_switch=1e4)
+        # 1984 is the last EM bucket within DIRICHLET_MAX_TERMS terms
+        assert zeta._em_terms(np.array([1984.0, 1984.5])).tolist() == [3976, 3992]
+        assert zeta_abs_grid([1984.0], wide)[0] > 0
+        with pytest.raises(ValueError, match=r"Euler-Maclaurin route: it accepts t <= 1984 "):
+            zeta_abs_grid([10.0, 1984.5], wide)
+        # the last RS node with floor(sqrt(t/2pi)) = 3989 terms
+        last = 2 * math.pi * 3990**2 - 1
+        assert math.floor(math.sqrt(last / (2 * math.pi))) == zeta.DIRICHLET_MAX_TERMS
+        assert zeta_abs_grid([last])[0] >= 0
+        for t in (2 * math.pi * 3990**2, 1e17, 1e300, math.inf):
+            with pytest.raises(ValueError, match=r"Riemann-Siegel route: it accepts t < 1.00029e\+08"):
+                zeta_abs_grid([100.0, t])
+
     def test_grid_thread_count_does_not_change_values(self):
         # chunks run serially, so this shows that any valid threads is accepted
         ts = np.linspace(0.0, 400.0, 20000)
