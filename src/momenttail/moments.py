@@ -8,15 +8,23 @@ counterexample.
 
 A distribution holds its entries in one read-only (k, 2) float64 array, so
 validation, normalization and the sums are numpy operations.  Every sum is
-math.fsum, which is exactly rounded: the result does not depend on the order
-of summation, so any route that forms the same IEEE products gives the same
-bits.  The total weight is computed once per distribution, and the tail sums
-sort the values once, on first use, then sum the suffix above each cutoff.
+exactly rounded, so it does not depend on the order of summation and any route
+that forms the same IEEE products gives the same bits.  The total weight, the
+mean and the moments are math.fsum.  The tail sums above a whole grid of
+cutoffs come from one pass that bins the terms' integer mantissas by cutoff
+interval and binary exponent (a small superaccumulator) and rounds each suffix
+sum once, as fsum would.
+
+A CSV without quotes, lone carriage returns or irregular lines is split in
+blocks of whole lines with str.split and float(); any other file is read by
+csv.reader, which alone reports malformed input.
 """
 
 import csv
+import io
 import math
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -34,6 +42,26 @@ CHECK_TOL = 1e-9
 
 # smallest positive normal float64; a product below it keeps fewer bits
 _TINY = np.finfo(np.float64).tiny
+
+# Tail sums.  A term t = (w * v) * v is m * 2**e with m in [0.5, 1) (frexp),
+# and m * 2**26 splits exactly into a whole part below 2**26 (floor) and a
+# fraction that is a multiple of 2**-27.  A bin holds the terms with one
+# exponent e and one count of cutoffs below v.  Its n <= 2**26 whole parts sum
+# to an integer below 2**52, and its fractions to a multiple of 2**-27 below
+# 2**26: every partial sum fits in 53 bits, so float64 adds them exactly in any
+# order.  The bin is then (whole + fraction) * 2**(e - 26), an integer times
+# 2**(e - 53) >= 2**-1126, so each suffix of bins is an exact Python int count
+# of 2**-1126, and int / int rounds it once, half to even, as math.fsum does.
+# Blocks of at most _TAIL_BLOCK <= 2**26 entries keep every bin within that
+# count and bound the temporaries.
+_TAIL_BLOCK = 1 << 17
+_EXP_MIN = -1073  # frexp exponent of the smallest subnormal
+_UNIT = 1 << (53 - _EXP_MIN)  # suffix sums count units of 1 / _UNIT
+
+# characters of whole lines that one block of a plain CSV holds, about
+_PARSE_BLOCK = 1 << 16
+# every byte but "," and "\n", deleted to leave a block's separators
+_NOT_SEPARATOR = bytes(c for c in range(256) if c not in b",\n")
 
 
 class DegenerateDistributionError(ValueError):
@@ -99,23 +127,40 @@ class EmpiricalDistribution:
 
     @cached_property
     def total_weight(self) -> float:
-        return compensated_sum(self.weights)
+        try:
+            return compensated_sum(self.weights)
+        except OverflowError:
+            raise ValueError(
+                f"total weight overflows float64: the {len(self.weights)} weights "
+                f"sum past {sys.float_info.max!r}"
+            ) from None
 
     @cached_property
     def mean(self) -> float:
-        products = self.values * self.weights
-        if np.all((products >= _TINY) | (self.values == 0)):
-            return compensated_sum(products) / self.total_weight
-        return math.ldexp(*self._scaled_mean)
+        with np.errstate(over="ignore"):
+            products = self.values * self.weights
+        if np.all(((products >= _TINY) & (products < math.inf)) | (self.values == 0)):
+            try:
+                mean = compensated_sum(products) / self.total_weight
+            except OverflowError:  # the products sum past float64
+                mean = math.inf
+            if mean < math.inf:
+                return mean
+        m, e = self._scaled_mean
+        try:
+            return math.ldexp(m, e)
+        except OverflowError:
+            raise ValueError(f"mean overflows float64: it rounds to {m!r} * 2**{e}") from None
 
     @cached_property
     def _scaled_mean(self) -> tuple[float, int]:
         """(m, e) with mean = m * 2**e and m in about [0.25, 2k].
 
-        A product v * w below the normal range keeps fewer bits, so here each
-        product is formed from the mantissas of v and w and scaled by a power
-        of two relative to the largest one (an exact rescale), and the total
-        weight likewise; `mean` uses this only when some product is subnormal.
+        A product v * w outside the normal range keeps fewer bits or none, so
+        here each product is formed from the mantissas of v and w and scaled by
+        a power of two relative to the largest one (an exact rescale), and the
+        total weight likewise; `mean` uses this only when some product is
+        subnormal or overflows, or the products sum past float64.
         """
         mv, ev = np.frexp(self.values)
         mw, ew = np.frexp(self.weights)
@@ -127,13 +172,6 @@ class EmpiricalDistribution:
     @property
     def max_value(self) -> float:
         return self.values.max().item()
-
-    @cached_property
-    def _tail_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Values in ascending order, and w * v * v in the same order."""
-        order = np.argsort(self.values)
-        values = self.values[order]
-        return values, self.weights[order] * values * values
 
 
 def _check_entries(values: np.ndarray, weights: np.ndarray) -> None:
@@ -179,7 +217,8 @@ def normalize(dist: EmpiricalDistribution) -> EmpiricalDistribution:
 
     The relative multiset of (value/mean, weight/total) is preserved.  Raises
     DegenerateDistributionError when all values are zero (mean 0), and
-    ValueError when some value/mean overflows float64.
+    ValueError when some value/mean overflows float64 or some weight/total
+    underflows to 0.
     """
     mean = dist.mean
     if mean <= 0.0:
@@ -199,8 +238,15 @@ def normalize(dist: EmpiricalDistribution) -> EmpiricalDistribution:
             f"value/mean overflows float64: entry {i} has value "
             f"{dist.values[i].item()!r} and the mean is {mean!r}"
         )
-    entries = np.column_stack((values, dist.weights / dist.total_weight))
-    return EmpiricalDistribution(entries, normalized=True)
+    weights = dist.weights / dist.total_weight
+    positive = weights > 0
+    if not positive.all():
+        i = int(np.argmin(positive))
+        raise ValueError(
+            f"weight/total weight underflows float64: entry {i} has weight "
+            f"{dist.weights[i].item()!r} and the total weight is {dist.total_weight!r}"
+        )
+    return EmpiricalDistribution(np.column_stack((values, weights)), normalized=True)
 
 
 def moment(dist: EmpiricalDistribution, k: int) -> float:
@@ -220,12 +266,56 @@ def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:
     """Second-moment mass strictly above b: sum over v > b of w * v^2 / sum(w).
 
     The threshold is strict, so atoms sitting exactly at b are excluded.
-    The sum is exactly rounded, so summing the terms in sorted order gives
-    the same float as summing them in input order.
+    The sum is exactly rounded, the same float as math.fsum of the terms.
     """
-    values, terms = dist._tail_terms
-    start = np.searchsorted(values, b, side="right")
-    return compensated_sum(terms[start:]) / dist.total_weight
+    return _tail_sums(dist, [b])[0] / dist.total_weight
+
+
+def _tail_sums(dist: EmpiricalDistribution, b_grid: Sequence[float]) -> list[float]:
+    """For each b of b_grid, the sum of (w * v) * v over v > b, as math.fsum
+    gives it: exactly rounded, inf when an infinite term is in it, and
+    OverflowError when a finite sum rounds past float64.  One pass over the
+    entries serves every cutoff (see the comment at _TAIL_BLOCK)."""
+    grid = np.asarray(b_grid, dtype=np.float64)
+    if grid.size == 0:
+        return []
+    cuts = np.sort(grid)  # a nan last; a repeated cutoff leaves an empty interval
+    sums = [0] * (len(cuts) + 1)  # per count of cutoffs below v, in 1 / _UNIT
+    infinite = np.zeros(len(cuts) + 1, dtype=bool)
+    for start in range(0, len(dist.values), _TAIL_BLOCK):
+        values = dist.values[start:start + _TAIL_BLOCK]
+        with np.errstate(over="ignore"):  # an inf term makes its sums inf, as in fsum
+            terms = dist.weights[start:start + _TAIL_BLOCK] * values
+            terms *= values
+        bins = np.searchsorted(cuts, values)  # cutoffs below v, then the bin
+        finite = np.isfinite(terms)
+        if not finite.all():
+            infinite[bins[~finite]] = True
+            terms[~finite] = 0.0
+        scaled, exponents = np.frexp(terms, out=(terms, None))  # mantissas over the terms
+        scaled *= 2.0**26
+        wholes = np.floor(scaled)
+        fractions = np.subtract(scaled, wholes, out=scaled)
+        low = int(exponents.min())
+        span = int(exponents.max()) - low + 1
+        bins *= span
+        bins += exponents
+        bins -= low
+        wholes, fractions = np.bincount(bins, wholes), np.bincount(bins, fractions)
+        used = np.flatnonzero(wholes + fractions)
+        block_sums = [0] * len(sums)  # in units of 2**(low - 53)
+        for i, whole, fraction in zip(used.tolist(), wholes[used].tolist(),
+                                      fractions[used].tolist()):
+            block_sums[i // span] += ((int(whole) << 27) + int(fraction * 2.0**27)) << (i % span)
+        for interval, block_sum in enumerate(block_sums):
+            sums[interval] += block_sum << (low - _EXP_MIN)
+    suffix = [0.0] * len(cuts)
+    total, inf = 0, False
+    for i in range(len(cuts), 0, -1):
+        total += sums[i]
+        inf = inf or infinite[i]
+        suffix[i - 1] = math.inf if inf else total / _UNIT
+    return [suffix[i] for i in np.searchsorted(cuts, grid).tolist()]
 
 
 def verify_theorem(
@@ -250,8 +340,8 @@ def verify_theorem(
     degenerate = a <= 1.0 + NORM_TOL
 
     checks = []
-    for b in b_grid:
-        tail = tail_second_moment(norm, b)
+    for b, tail_sum in zip(b_grid, _tail_sums(norm, b_grid)):
+        tail = tail_sum / norm.total_weight
         lower = a - b
         holds = tail >= lower - CHECK_TOL
         if b < a and not holds:
@@ -286,13 +376,88 @@ def max_lower_bound(m1: float, m2: float) -> float:
 def load_distribution_csv(source: str | IO[str]) -> EmpiricalDistribution:
     """Read a `value,weight` CSV (header required) into a distribution.
 
-    Raises DistributionFormatError with the offending 1-based line number.
+    The text is read once; a file object is read to its end and parsed as a
+    file opened with newline="".  A plain file (see _parse_plain) is split
+    in blocks; any other file, or a plain one with an entry that float() or
+    EmpiricalDistribution rejects, is read by csv.reader, so every error comes
+    from one place: DistributionFormatError with the offending 1-based line.
     """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            return load_distribution_csv(fh)
+            text = fh.read()
+    else:
+        text = source.read()
+    entries = _parse_plain(text)
+    if entries is not None:
+        try:
+            return EmpiricalDistribution(entries)
+        except InvalidEntryError:
+            pass  # the csv.reader route reports it with its line
+    return _parse_rows(text)
 
-    reader = csv.reader(source)
+
+def _parse_plain(text: str) -> np.ndarray | None:
+    """The (k, 2) entries of a plain CSV, or None if text is not plain or a
+    field is not a float.
+
+    Plain means: no quote, every carriage return inside a CRLF, a
+    `value,weight` header, and exactly one comma on every data line (so no
+    blank line).  Its fields are then the ones csv.reader yields, and float()
+    gives the same entries.  Blocks of about _PARSE_BLOCK characters of whole
+    lines keep few split fields alive at a time.
+    """
+    if '"' in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    limit = csv.field_size_limit()
+    start = text.find("\n") + 1  # the first data line
+    end = len(text) - text.endswith("\n")
+    if not 0 < start < end or start > limit:  # no data line, or a header past the limit
+        return None
+    if [h.strip().lower() for h in text[:start - 1].split(",")] != ["value", "weight"]:
+        return None
+    entries = np.empty((text.count("\n", start, end) + 1, 2))
+    flat = entries.reshape(-1)
+    row = 0
+    while start < end:
+        stop = text.find("\n", start + _PARSE_BLOCK, end)
+        if stop < 0:
+            stop = end
+        block = text[start:stop]
+        lines = block.count("\n") + 1
+        separators = block.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+        if separators != b",\n" * (lines - 1) + b",":
+            return None
+        fields = block.replace("\n", ",").split(",")
+        if len(block) > limit and max(map(len, fields)) > limit:
+            return None  # csv.reader refuses a field this long
+        try:
+            flat[2 * row:2 * (row + lines)] = np.fromiter(map(float, fields), np.float64,
+                                                          2 * lines)
+        except ValueError:
+            return None
+        row += lines
+        start = stop + 1
+    return entries
+
+
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """csv.reader rows of text; a csv.Error becomes a DistributionFormatError
+    at the 1-based row it stopped in."""
+    line = 0
+    try:
+        for line, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield row
+    except csv.Error as exc:
+        raise DistributionFormatError(line + 1, str(exc)) from None
+
+
+def _parse_rows(text: str) -> EmpiricalDistribution:
+    """Read text with csv.reader, one row and two float() calls per line."""
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -84,6 +84,32 @@ class TestTheoremCheck:
             "and the mean is 2e-300\n"
         )
 
+    @pytest.mark.parametrize("rows, message", [
+        ('1,1\n"' + "1" * 200_000 + '",2\n',
+         "malformed distribution CSV: line 3: field larger than field limit (131072)"),
+        ("1,1e308\n2,1e308\n",
+         "total weight overflows float64: the 2 weights sum past 1.7976931348623157e+308"),
+        ("1,1e300\n1,1e-320\n",
+         "weight/total weight underflows float64: entry 1 has weight 1e-320 "
+         "and the total weight is 1e+300"),
+    ], ids=["csv-field-limit", "total-weight-overflow", "weight-underflow"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, rows, message):
+        # a fresh interpreter, so a traceback or a RuntimeWarning would show
+        path = tmp_path / "bad.csv"
+        path.write_text("value,weight\n" + rows, encoding="utf-8")
+        argv = ["theorem", "check", "--input", str(path)]
+        assert _fresh_interpreter(argv) == (2, "", f"error: {message}\n")
+
+    def test_overflowing_mean_sum_normalizes(self, capsys, tmp_path):
+        # v * w sums past float64, but the mean 1e308 is a float: the exact
+        # power-of-two rescale finds it
+        path = tmp_path / "big.csv"
+        path.write_text("value,weight\n1e308,1\n1e308,1\n", encoding="utf-8")
+        code, out, err = run(capsys, ["theorem", "check", "--input", str(path), "--b", "0.5"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["a"], payload["max"], payload["degenerate"]) == (1.0, 1.0, True)
+
     def test_violation_maps_to_exit_1(self, capsys, dist_csv, monkeypatch):
         def boom(dist, grid):
             raise TheoremViolationError("forced")

@@ -23,6 +23,9 @@ GOLDEN = Path(__file__).parent / "golden"
 FORMATS = {"json": "json", "csv": "csv", "human": "txt"}
 DIST = str(GOLDEN / "dist.csv")
 HEAVY = GOLDEN / "dist-heavy.csv"
+#: csv.reader route: quoted header and fields, CRLF endings, one lone CR and
+#: one blank line
+CRLF_QUOTED = str(GOLDEN / "dist-crlf-quoted.csv")
 #: cutoffs on the normalized heavy file (a = 5.7498): ten sit exactly on atoms
 #: (0, the two most repeated values, five quantiles and the two largest
 #: values), the rest between atoms or above the maximum
@@ -50,6 +53,11 @@ CASES = {
                        "--b", "0", "--b", "0.5", "--b", "1.5", "--b", "40"], True),
     "theorem-check-heavy": (["theorem", "check", "--input", str(HEAVY)]
                             + [arg for b in HEAVY_CUTOFFS for arg in ("--b", b)], True),
+    "theorem-check-crlf-quoted": (["theorem", "check", "--input", CRLF_QUOTED,
+                                   "--b", "0", "--b", "0.33121387283236997",
+                                   "--b", "1.1040462427745665", "--b", "1.4",
+                                   "--b", "3.4225433526011564", "--b", "5.2994219653179195",
+                                   "--b", "10"], True),
     "zeta-moments-k2": (["zeta", "moments", "--T", "10", "--H", "60", "--k", "2",
                          "--step", "0.1"], False),
     "zeta-moments-k4": (["zeta", "moments", "--T", "100", "--H", "500", "--k", "4",
@@ -134,6 +142,13 @@ def _assert_close(got: str, want: str, fmt: str):
 
 def test_heavy_input_is_reproducible():
     assert HEAVY.read_text(encoding="utf-8") == heavy_csv()
+
+
+def test_crlf_quoted_input_keeps_its_bytes():
+    # the file must reach the loader with its CRLFs, lone CR and quotes intact
+    data = Path(CRLF_QUOTED).read_bytes()
+    assert data.count(b"\r\n") == 11 and data.count(b"\r") == 12
+    assert data.startswith(b'"value","weight"\r\n') and b"\r\n\r\n" in data
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

@@ -4,12 +4,14 @@ import io
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from momenttail import moments
 from momenttail.moments import (
     DegenerateDistributionError,
     DistributionFormatError,
@@ -24,6 +26,7 @@ from momenttail.moments import (
 )
 from momenttail.numutil import to_json
 from oracles import (
+    load_distribution_csv_oracle,
     mean_oracle,
     moment_oracle,
     normalize_oracle,
@@ -31,6 +34,7 @@ from oracles import (
     tail_second_moment_oracle,
     total_weight_oracle,
 )
+from test_golden import heavy_csv
 
 
 def dist(*pairs):
@@ -102,6 +106,45 @@ class TestNormalize:
         # about the normalized result
         with pytest.raises(ValueError, match="value/mean overflows float64: entry 0"):
             normalize(dist(*pairs))
+
+    def test_overflowing_total_weight_rejected(self):
+        d = dist((1.0, 1e308), (2.0, 1e308))
+        with pytest.raises(ValueError) as err:
+            normalize(d)
+        assert str(err.value) == (
+            "total weight overflows float64: the 2 weights sum past 1.7976931348623157e+308"
+        )
+
+    @pytest.mark.parametrize("pairs, mean", [
+        ([(1e308, 1.0), (1e308, 1.0)], 1e308),  # the products sum past float64
+        ([(1e200, 1e200), (1.0, 1.0)], 1e200),  # a product overflows
+        ([(1.5e308, 0.75), (1e308, 0.75)], 1.25e308),
+    ])
+    def test_overflowing_products_take_the_rescaled_mean(self, pairs, mean):
+        d = dist(*pairs)
+        assert d.mean == pytest.approx(float(exact_mean(pairs)), rel=1e-15)
+        assert d.mean == pytest.approx(mean, rel=1e-15)
+        out = normalize(d)
+        assert out.mean == pytest.approx(1.0, abs=1e-15)
+
+    def test_mean_rounding_past_float64_rejected(self):
+        # the exact mean is the largest float, but the rounded total weight
+        # is a little below the exact one, so the quotient rounds past it
+        top = sys.float_info.max
+        d = dist((top, 0.4698211243525061), (top, 0.8159582267661509), (top, 0.1),
+                 (top, 0.9642433286879182))
+        with pytest.raises(ValueError, match=r"^mean overflows float64: it rounds to "):
+            normalize(d)
+
+    def test_underflowing_weight_over_total_rejected(self):
+        # 1e-320 / 1e300 is 0: a complaint about the input entry, not about
+        # a non-positive weight in the normalized result
+        with pytest.raises(ValueError) as err:
+            normalize(dist((1.0, 1e300), (1.0, 1e-320)))
+        assert str(err.value) == (
+            "weight/total weight underflows float64: entry 1 has weight 1e-320 "
+            "and the total weight is 1e+300"
+        )
 
 
 class TestMoment:
@@ -320,6 +363,80 @@ def test_tail_equals_generator_form(pairs):
             assert tail_second_moment(d, b) == tail_second_moment_oracle(ref, b), b
 
 
+# values and weights from subnormal to near overflow, so terms (w * v) * v
+# are subnormal, 0, normal, near the top of the range or inf, and their sums
+# may round past float64
+extreme_floats = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e150, max_value=sys.float_info.max),
+    st.sampled_from([0.5, 1.0, 3.0, 1e154, sys.float_info.max]),
+)
+extreme_dists = st.lists(
+    st.tuples(st.one_of(extreme_floats, st.just(0.0)), extreme_floats),
+    min_size=1, max_size=40,
+)
+
+
+def tail_sum_exact(pairs, b):
+    """sum of (w * v) * v over v > b, rounded once, or None past float64."""
+    terms = [w * v * v for v, w in pairs if v > b]
+    if math.inf in terms:
+        return math.inf
+    try:
+        return float(sum(map(Fraction, terms), Fraction(0)))
+    except OverflowError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_dists, st.data(), st.sampled_from([1, 3, moments._TAIL_BLOCK]))
+def test_one_pass_tails_equal_fsum_at_every_cutoff(pairs, data, block):
+    d = dist(*pairs)
+    atoms = sorted(set(d.values.tolist()))
+    # unsorted, with duplicates: atoms, points between and beyond them
+    cutoff = st.one_of(
+        st.sampled_from(atoms),
+        st.sampled_from([0.0, -0.0, -1.0, 2 * atoms[-1] + 1.0, -math.inf, math.inf, math.nan]),
+        st.floats(min_value=0.0, max_value=atoms[-1]),
+    )
+    grid = data.draw(st.lists(cutoff, min_size=1, max_size=12))
+    expected = [tail_sum_exact(pairs, b) for b in grid]
+    with mock.patch.object(moments, "_TAIL_BLOCK", block):
+        if None in expected:
+            with pytest.raises(OverflowError):
+                moments._tail_sums(d, grid)
+            return
+        got = moments._tail_sums(d, grid)
+    assert got == expected
+    for b, tail in zip(grid, got):
+        try:
+            want = tail_second_moment_oracle(pairs, b)
+        except OverflowError:  # the weights, or finite terms before an inf one, overflow
+            continue
+        assert tail / d.total_weight == want, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_dists, st.data())
+def test_verify_theorem_tails_equal_oracle(pairs, data):
+    assume(dist(*pairs).mean > 0)  # normalize rejects a mean that rounds to 0
+    norm = normalize(dist(*pairs))
+    ref = [tuple(p) for p in norm.entries.tolist()]
+    a = moment(norm, 2)
+    atoms = sorted(set(norm.values.tolist()))
+    cutoff = st.one_of(st.sampled_from(atoms), st.floats(min_value=0.0, max_value=2 * a + 1.0))
+    grid = data.draw(st.lists(cutoff, min_size=1, max_size=20))
+    report = verify_theorem(dist(*pairs), grid)
+    assert [c.b for c in report.checks] == grid
+    assert [c.tail for c in report.checks] == [tail_second_moment_oracle(ref, b) for b in grid]
+
+
+def test_tail_of_empty_grid_is_empty():
+    assert moments._tail_sums(TWO_POINT, []) == []
+    assert verify_theorem(TWO_POINT, []).checks == ()
+
+
 class TestArrayStorage:
     def test_arrays_are_read_only(self):
         d = dist((2.0, 0.5), (0.0, 0.5))
@@ -409,3 +526,86 @@ class TestCsvLoading:
         with pytest.raises(DistributionFormatError) as err:
             load_distribution_csv(io.StringIO(text))
         assert err.value.line == line
+
+    def test_field_past_csv_limit_reports_its_line(self):
+        # csv.reader's field limit (131072 characters) is a format error with
+        # its line, whether the field is quoted or plain digits that float()
+        # would read
+        for field in ('"' + "1" * 200_000 + '"', "0." + "0" * 200_000 + "1"):
+            with pytest.raises(DistributionFormatError) as err:
+                load_distribution_csv(io.StringIO(f"value,weight\n1,1\n{field},2\n"))
+            assert err.value.line == 3
+            assert str(err.value) == "line 3: field larger than field limit (131072)"
+
+    def test_plain_files_take_the_block_parser(self):
+        text = heavy_csv(rows=12_000)  # past two blocks of 64 KiB
+        assert len(text) > 2 * moments._PARSE_BLOCK
+        for variant in (text, text.replace("\n", "\r\n"), text.rstrip("\n")):
+            entries = moments._parse_plain(variant)
+            assert entries is not None
+            want = load_distribution_csv_oracle(io.StringIO(variant, newline=""))
+            assert entries.tobytes() == want.entries.tobytes()
+        for odd in ('"value",weight\n1,2\n', "value,weight\n1,2\r3,4\n", "value,weight\n1\r,2\n",
+                    "value,weight\n1,2\n\n3,4\n", "value,weight\n1,2\n3\n4,5,6\n"):
+            assert moments._parse_plain(odd) is None
+
+    def test_bad_entry_past_first_block_reports_its_line(self):
+        lines = heavy_csv(rows=8000).splitlines(keepends=True)  # past one block
+        lines[7500] = "2.5,-1\n"
+        with pytest.raises(DistributionFormatError) as err:
+            load_distribution_csv(io.StringIO("".join(lines)))
+        assert (err.value.line, str(err.value)) == (7501, "line 7501: non-positive weight -1.0")
+
+
+def load_outcome(load, text: str):
+    """The entries' bytes, or the line and message of the format error."""
+    try:
+        return load(io.StringIO(text, newline="")).entries.tobytes()
+    except DistributionFormatError as exc:
+        return exc.line, str(exc)
+
+
+number = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+    st.integers(min_value=0, max_value=10**6).map(str),
+)
+odd_field = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "-0", "1_0", "\u0661\u0662", " 2 ", "1e-320",
+     "1e400", "x", "", "0x10", "\u00a03"]
+)
+field = st.one_of(number, odd_field)
+odd_line = st.one_of(
+    st.tuples(field, field).map(lambda f: f'"{f[0]}",{f[1]}'),
+    st.tuples(field, field).map(lambda f: f'{f[0]},"{f[1]}"'),
+    st.tuples(field, field).map(lambda f: f"{f[0]},{f[1]}"),
+    field,
+    st.tuples(field, field, field).map(",".join),
+    st.sampled_from(["", "   ", '"1,5",2', '"1\n2",3', '"2",""', "1,,", "1\r,2"]),
+)
+line_end = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+header = st.sampled_from(
+    ["value,weight"] * 4 + ['"value","weight"', " Value ,WEIGHT", "val,wt", "value"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly plain files, with some odd lines, endings and headers mixed in."""
+    lines = [draw(header)]
+    lines += draw(st.lists(st.tuples(number, number).map(",".join), max_size=40))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), draw(odd_line))
+    plain_ends = draw(st.booleans())
+    ends = ["\n" if plain_ends else draw(line_end) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: len(text) - len(ends[-1])]
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_texts(), st.sampled_from([1, 5, 40, moments._PARSE_BLOCK]))
+# a lone CR ends a csv.reader row, so this is two rows of one field each
+@example("value,weight\n1\r,2\n", moments._PARSE_BLOCK)
+def test_loader_equals_csv_reader_oracle(text, block):
+    with mock.patch.object(moments, "_PARSE_BLOCK", block):
+        got = load_outcome(load_distribution_csv, text)
+    assert got == load_outcome(load_distribution_csv_oracle, text)
