@@ -3,8 +3,9 @@
 Every command emits one report (JSON by default) on stdout or --out.  JSON is
 serialized with sorted keys and fixed formatting, so identical argv produces
 byte-identical output; big integers are decimal strings.  Exit codes: 0 ok,
-1 failed --assert or violated exact inequality, 2 bad flags, malformed input
-files or an unreadable or unwritable path.
+1 failed --assert or violated exact inequality (theorem check, zeta tail or
+the skewdet bound in repro), 2 bad flags, malformed input files or an
+unreadable or unwritable path.
 
 main() parses with one parser, built once per process, so in-process callers
 pay argparse construction once; build_parser() still returns a fresh parser.
@@ -14,20 +15,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from . import moments, skewdet, symchar, zeta
 from .moments import DistributionFormatError, TheoremViolationError
-from .numutil import THREADS_ENV_VAR, resolve_threads, to_json
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    fmt: str
-    out_path: str | None
-    seed: int
-    threads: int | None
+from .numutil import resolve_threads, to_json
 
 
 def _flatten(prefix: str, obj, rows: list[tuple[str, str]]):
@@ -52,13 +44,13 @@ def _render(payload: dict, fmt: str) -> str:
     return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
 
 
-def _emit(payload: dict, cfg: RunConfig):
-    _write(_render(payload, cfg.fmt), cfg)
+def _emit(payload: dict, args):
+    _write(_render(payload, args.fmt), args)
 
 
-def _write(text: str, cfg: RunConfig):
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+def _write(text: str, args):
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -70,16 +62,16 @@ def _zeta_cfg(args) -> zeta.ZetaEvalConfig:
     )
 
 
-def _cmd_theorem_check(args, cfg: RunConfig) -> int:
+def _cmd_theorem_check(args) -> int:
     dist = moments.load_distribution_csv(args.input)
     report = moments.verify_theorem(dist, args.b or [])
-    _emit(to_json(report), cfg)
+    _emit(to_json(report), args)
     if args.enforce and not all(c.holds for c in report.checks):
         return 1
     return 0
 
 
-def _cmd_zeta_moments(args, cfg: RunConfig) -> int:
+def _cmd_zeta_moments(args) -> int:
     est = zeta.moment_integral(
         args.T,
         args.H,
@@ -87,50 +79,50 @@ def _cmd_zeta_moments(args, cfg: RunConfig) -> int:
         step=args.step,
         cfg=_zeta_cfg(args),
         convergence_check=not args.no_convergence_check,
-        threads=cfg.threads,
+        threads=args.threads,
     )
-    _emit(to_json(est), cfg)
+    _emit(to_json(est), args)
     return 0
 
 
-def _cmd_zeta_tail(args, cfg: RunConfig) -> int:
+def _cmd_zeta_tail(args) -> int:
     report = zeta.tail_moment_report(
         args.T,
         args.H,
         c_threshold=args.c_threshold,
         step=args.step,
         cfg=_zeta_cfg(args),
-        threads=cfg.threads,
+        threads=args.threads,
     )
-    _emit(to_json(report), cfg)
+    _emit(to_json(report), args)
     if args.enforce and not report.holds:
         return 1
     return 0
 
 
-def _cmd_skewdet_enum(args, cfg: RunConfig) -> int:
+def _cmd_skewdet_enum(args) -> int:
     stats = skewdet.enumerate_stats(args.n, args.convention)
     payload = to_json(stats)
     if args.convention == "zero" and args.n % 2 == 1:
         payload["note"] = "odd n with zero diagonal: every determinant is 0"
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
-def _cmd_skewdet_mc(args, cfg: RunConfig) -> int:
+def _cmd_skewdet_mc(args) -> int:
     stats = skewdet.mc_stats(
         args.n, args.samples, seed=args.seed, convention=args.convention,
-        threads=cfg.threads,
+        threads=args.threads,
     )
-    _emit(to_json(stats), cfg)
+    _emit(to_json(stats), args)
     return 0
 
 
-def _cmd_skewdet_search(args, cfg: RunConfig) -> int:
+def _cmd_skewdet_search(args) -> int:
     result = skewdet.search_high_det(
         args.n, args.budget, seed=args.seed, convention=args.convention
     )
-    _emit(to_json(result), cfg)
+    _emit(to_json(result), args)
     return 0
 
 
@@ -164,36 +156,36 @@ def _symchar_report_payload(n: int, eps: float) -> dict:
     return payload
 
 
-def _cmd_symchar_report(args, cfg: RunConfig) -> int:
+def _cmd_symchar_report(args) -> int:
     payload = _symchar_report_payload(args.n, args.eps)
-    _emit(payload, cfg)
+    _emit(payload, args)
     if args.enforce and not payload["bound_satisfied"]:
         return 1
     return 0
 
 
-def _cmd_symchar_table(args, cfg: RunConfig) -> int:
+def _cmd_symchar_table(args) -> int:
     table = symchar.degree_table(args.n)
     lines = ["partition,degree\n"]
     lines += [f"{lam},{d}\n" for lam, d in table.rows]
-    _write("".join(lines), cfg)
+    _write("".join(lines), args)
     return 0
 
 
-def _cmd_repro(args, cfg: RunConfig) -> int:
+def _cmd_repro(args) -> int:
     zeta_reports = [
-        to_json(zeta.tail_moment_report(T, H, threads=cfg.threads))
+        to_json(zeta.tail_moment_report(T, H, threads=args.threads))
         for T, H in ((500.0, 500.0), (1000.0, 1000.0))
     ]
 
     enum6 = skewdet.enumerate_stats(6)
     det_bound = skewdet.second_moment_det_bound(enum6)
-    mc10 = skewdet.mc_stats(10, 20000, seed=cfg.seed, threads=cfg.threads)
-    search10 = skewdet.search_high_det(10, budget=2000, seed=cfg.seed)
+    mc10 = skewdet.mc_stats(10, 20000, seed=args.seed, threads=args.threads)
+    search10 = skewdet.search_high_det(10, budget=2000, seed=args.seed)
     skew_payload = {
         "enum_n6": to_json(enum6),
         "second_moment_bound_n6": det_bound,
-        "bound_satisfied_n6": enum6.max_abs_det >= det_bound * (1 - 1e-6),
+        "bound_satisfied_n6": enum6.max_abs_det * enum6.sum_absdet >= enum6.sum_det2,
         "s1_asym_ratio_n6": enum6.s1 / skewdet.szekeres_s1_asym(6).value,
         "s2_asym_ratio_n6": enum6.s2 / skewdet.szekeres_s2_asym(6).value,
         "existence_bound_log_n6": skewdet.det_existence_bound(6).log,
@@ -205,9 +197,9 @@ def _cmd_repro(args, cfg: RunConfig) -> int:
         "zeta_tail": zeta_reports,
         "skew_determinants": skew_payload,
         "character_degrees": _symchar_report_payload(25, 0.0),
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return 0
 
 
@@ -227,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", dest="out_path", default=None, help="write report to this path")
     common.add_argument(
         "--threads", type=int, default=None,
-        help=f"worker cap; mirrors ${THREADS_ENV_VAR}; never affects results",
+        help="worker count, at least 1; checked for every command, never affects "
+        "results (every command runs on one thread)",
     )
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
@@ -312,16 +305,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    cfg = RunConfig(
-        fmt=args.fmt,
-        out_path=args.out_path,
-        seed=args.seed,
-        threads=args.threads,
-    )
     try:
-        # rejects a bad --threads or $MTL_THREADS whether or not the command uses it
-        resolve_threads(args.threads)
-        return args.func(args, cfg)
+        resolve_threads(args.threads)  # whether or not the command uses it
+        return args.func(args)
     except DistributionFormatError as exc:
         print(f"error: malformed distribution CSV: {exc}", file=sys.stderr)
         return 2

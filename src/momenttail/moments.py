@@ -4,7 +4,8 @@ A non-negative random variable with unit mean and second moment a > 1 must
 exceed a with positive probability, and for every cutoff 0 <= b < a the mass
 of squared values above b is at least a - b.  On finite support both facts
 are exact, so they double as self-checks: a failed check means a bug, not a
-counterexample.
+counterexample.  check_tail_inequality alone decides them; verify_theorem
+normalizes first, and the zeta tail report has a unit mean by construction.
 
 A distribution holds its entries in one read-only (k, 2) float64 array, so
 validation, normalization and the sums are numpy operations.  Every sum is
@@ -202,8 +203,8 @@ class TailCheck:
 class TheoremReport:
     """Outcome of checking the tail inequality on one distribution.
 
-    a is the second moment after normalization; degenerate means a <= 1 (point
-    mass at 1 after normalization), where the existence bound is vacuous.
+    a is the second moment of the unit-mean distribution; degenerate means
+    a <= 1 (a point mass at 1), where the existence bound is vacuous.
     """
 
     a: float
@@ -221,14 +222,14 @@ def normalize(dist: EmpiricalDistribution) -> EmpiricalDistribution:
     underflows to 0.
     """
     mean = dist.mean
-    if mean <= 0.0:
+    if not dist.values.any():
         raise DegenerateDistributionError("all-zero values: mean is 0, cannot rescale")
     with np.errstate(over="ignore"):
         if mean >= _TINY:
             values = dist.values / mean
         else:
-            # a subnormal mean has too few bits to divide by; divide by its
-            # normal-range mantissa and rescale by the exact power of two
+            # a subnormal mean, even one that rounds to 0, has too few bits;
+            # divide by its normal-range mantissa and rescale by a power of two
             m, e = dist._scaled_mean
             values = np.ldexp(dist.values, -e) / m
     finite = np.isfinite(values)
@@ -321,27 +322,36 @@ def _tail_sums(dist: EmpiricalDistribution, b_grid: Sequence[float]) -> list[flo
 def verify_theorem(
     dist: EmpiricalDistribution, b_grid: Sequence[float]
 ) -> TheoremReport:
-    """Normalize, then check both exact consequences of the tail inequality.
+    """Normalize, then check both exact consequences of the tail inequality
+    (see check_tail_inequality).
 
-    For the normalized distribution with second moment a: (1) if a > 1 the
-    maximum value is at least a, and (2) for every grid point 0 <= b < a the
-    tail second moment above b is at least a - b.  Grid points must be
-    finite and non-negative (the inequality is false for b < 0, where
-    a - b > a).
-    A violation raises TheoremViolationError: on finite support these are
-    theorems, so failure means a bug.
+    Grid points must be finite and non-negative (the inequality is false for
+    b < 0, where a - b > a); they are checked before the distribution is.
     """
     for b in b_grid:
         if not 0 <= b < math.inf:
             raise ValueError(f"b grid values must be finite and non-negative, got {b}")
-    norm = normalize(dist)
-    a = moment(norm, 2)
-    max_value = norm.max_value
+    return check_tail_inequality(normalize(dist), b_grid)
+
+
+def check_tail_inequality(
+    dist: EmpiricalDistribution, b_grid: Sequence[float]
+) -> TheoremReport:
+    """Check the tail inequality on a distribution of unit mean (its weights
+    need not sum to 1), with CHECK_TOL and NORM_TOL as the one tolerance policy.
+
+    With a the second moment: (1) if a > 1 the maximum value is at least a,
+    and (2) for every grid point 0 <= b < a the tail second moment above b is
+    at least a - b.  A violation raises TheoremViolationError: on finite
+    support these are theorems, so failure means a bug.
+    """
+    a = moment(dist, 2)
+    max_value = dist.max_value
     degenerate = a <= 1.0 + NORM_TOL
 
     checks = []
-    for b, tail_sum in zip(b_grid, _tail_sums(norm, b_grid)):
-        tail = tail_sum / norm.total_weight
+    for b, tail_sum in zip(b_grid, _tail_sums(dist, b_grid)):
+        tail = tail_sum / dist.total_weight
         lower = a - b
         holds = tail >= lower - CHECK_TOL
         if b < a and not holds:

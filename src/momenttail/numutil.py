@@ -1,16 +1,13 @@
-"""Shared helpers: compensated sums, log-space values, thread resolution,
-chunked execution and report serialization."""
+"""Shared helpers: compensated sums, log-space values, worker-count
+validation and report serialization."""
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-THREADS_ENV_VAR = "MTL_THREADS"
 
 # exp overflows float64 just above this
 _EXP_MAX = 709.0
@@ -72,32 +69,11 @@ class LogReal:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else MTL_THREADS, else 1."""
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        return threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-        if val < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1")
-        return val
-    return 1
-
-
-def chunked_map(fn: Callable, chunks: Sequence[tuple], threads: int | None = None) -> list:
-    """[fn(*c) for c in chunks], in chunk order, after validating threads.
-
-    Chunks run serially in the calling thread.  A thread pool never paid for
-    numpy-bound zeta grids on 2 CPUs (an Euler-Maclaurin grid of 4 chunks ran
-    0.8-0.9x as fast at 2 threads as at 1), so threads only has to be valid.
-    """
-    resolve_threads(threads)
-    return [fn(*c) for c in chunks]
+    """Worker count, 1 for None; below 1 raises ValueError.  Every computation
+    runs in the calling thread, so the count only has to be valid."""
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
+    return threads or 1
 
 
 def to_json(obj):

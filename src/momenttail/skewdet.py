@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .moments import TheoremViolationError
 from .numutil import LogReal, log_factorial, resolve_threads
 
 ENUM_LIMIT = 8
@@ -426,8 +427,8 @@ class DetStats:
     def __post_init__(self):
         if self.mode not in ("exact", "monte-carlo"):
             raise ValueError("mode must be 'exact' or 'monte-carlo'")
-        # power-mean ordering is unconditional; violation means broken accumulators
-        if self.s2 < self.s1 * (1 - 1e-12):
+        # power means s2 >= s1, exactly; violation means broken accumulators
+        if self.count * self.sum_det2 < self.sum_absdet**2:
             raise ValueError("s2 < s1 violates the power-mean inequality")
 
 
@@ -580,7 +581,8 @@ def second_moment_det_bound(stats: DetStats) -> float:
     """Existence bound s2^2 / s1 for the max |det| over the ensemble.
 
     In exact mode the recorded maximum must already meet it (finite-support
-    tail bound); a miss raises, since that can only be an accounting bug.
+    tail bound), max * sum |det| >= sum det^2 in exact integers; a miss raises
+    TheoremViolationError, since that can only be an accounting bug.
     """
     if stats.s1 <= 0:
         raise ValueError(
@@ -588,9 +590,10 @@ def second_moment_det_bound(stats: DetStats) -> float:
             "no bound available"
         )
     bound = stats.s2**2 / stats.s1
-    if stats.mode == "exact" and stats.max_abs_det < bound * (1 - 1e-6):
-        raise RuntimeError(
-            f"enumerated max {stats.max_abs_det} misses exact bound {bound}"
+    if stats.mode == "exact" and stats.max_abs_det * stats.sum_absdet < stats.sum_det2:
+        raise TheoremViolationError(
+            f"enumerated max {stats.max_abs_det} misses exact bound "
+            f"{stats.sum_det2} / {stats.sum_absdet}"
         )
     return bound
 

@@ -21,7 +21,7 @@ Windowed moments of |zeta|^k (k = 2 or 4) use composite Simpson quadrature
 with a built-in step-halving convergence record.  The tail report discretizes
 xi = H |zeta|^2 / integral(|zeta|^2) over the quadrature nodes, giving a unit
 mean by construction, and checks the tail inequality on that finite
-distribution, where it is exact.
+distribution with moments.check_tail_inequality, where it is exact.
 """
 
 import math
@@ -30,8 +30,8 @@ from functools import cache
 
 import numpy as np
 
-from .moments import CHECK_TOL, EmpiricalDistribution, moment, tail_second_moment
-from .numutil import chunked_map, compensated_dot
+from .moments import EmpiricalDistribution, check_tail_inequality
+from .numutil import compensated_dot, resolve_threads
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -69,6 +69,11 @@ EM_BUCKET = 8
 #: node grows like N, so far larger t would run for hours, and near t = 1e30
 #: the prime sieve alone would need petabytes.
 DIRICHLET_MAX_TERMS = 3989
+
+#: most nodes of a Simpson grid (2^20 intervals; a tail report holds about 90
+#: bytes per node), the half step of a convergence check included: H = 1000 at
+#: step 0.05, the largest documented window, needs 40,001.
+SIMPSON_MAX_NODES = (1 << 20) + 1
 
 
 def _require_finite(**values: float):
@@ -312,12 +317,12 @@ def zeta_abs_grid(
     DIRICHLET_MAX_TERMS Dirichlet terms raises ValueError before any node is
     evaluated.
     """
+    resolve_threads(threads)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts < 0):
         raise ValueError("t must be non-negative")
     _check_terms(ts, cfg)
-    chunks = [(ts[i : i + _EVAL_CHUNK], cfg) for i in range(0, ts.size, _EVAL_CHUNK)]
-    parts = chunked_map(_eval_grid, chunks, threads)
+    parts = [_eval_grid(ts[i : i + _EVAL_CHUNK], cfg) for i in range(0, ts.size, _EVAL_CHUNK)]
     return np.concatenate(parts) if parts else np.empty_like(ts)
 
 
@@ -369,11 +374,22 @@ class MomentEstimate:
             raise ValueError("moment cannot be negative")
 
 
+def _simpson_intervals(H: float, step: float, halve: bool = False) -> int:
+    """Even Simpson interval count on a window H at about step (step / 2 if
+    halve); ValueError past SIMPSON_MAX_NODES nodes, before any allocation."""
+    ratio = H / (step / 2 if halve else step)
+    if not ratio <= SIMPSON_MAX_NODES - 1:  # an inf ratio too
+        raise ValueError(
+            f"a Simpson grid of step {step!r} on a window of {H!r} needs more than "
+            f"{SIMPSON_MAX_NODES} nodes{' at the half step' if halve else ''}: "
+            "use a larger step or a shorter window")
+    n_int = max(2, math.ceil(ratio))
+    return n_int + n_int % 2
+
+
 def _simpson_grid(T: float, H: float, step: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Nodes, weights and actual step of composite Simpson on [T, T+H]."""
-    n_int = max(2, int(math.ceil(H / step)))
-    if n_int % 2:
-        n_int += 1
+    n_int = _simpson_intervals(H, step)
     h = H / n_int
     ts = T + h * np.arange(n_int + 1, dtype=float)
     w = np.full(n_int + 1, 2.0)
@@ -396,7 +412,8 @@ def moment_integral(
 
     When convergence_check is on, the integral is recomputed at half the step
     and the relative change recorded.  The integrand oscillates on unit scale,
-    so steps above 0.25 set a warning flag instead of failing.
+    so steps above 0.25 set a warning flag instead of failing.  Grids past
+    SIMPSON_MAX_NODES nodes, the half-step one included, raise ValueError.
     """
     _require_finite(T=T, H=H, step=step)
     if T < 0:
@@ -407,6 +424,7 @@ def moment_integral(
         raise ValueError("step must satisfy 0 < step <= H/10")
     if k not in (2, 4):
         raise ValueError("k must be 2 or 4")
+    _simpson_intervals(H, step, halve=convergence_check)
 
     ts, w, h = _simpson_grid(T, H, step)
     z = zeta_abs_grid(ts, cfg, threads)
@@ -438,7 +456,7 @@ class TailMomentReport:
 
     xi is the discretized H|zeta|^2 / integral(|zeta|^2); a its second moment;
     b = log^2(T)/(4 pi^2).  holds records the finite-support tail inequality
-    tail(b) >= a - b, which can only fail through an implementation bug.
+    tail(b) >= a - b; a violation is a bug and raises TheoremViolationError.
     Restricted fourth moments and set measures are carried for both candidate
     cutoff coefficients as well as the one actually requested.
     """
@@ -521,11 +539,9 @@ def tail_moment_report(
     # Simpson weights are positive, so (xi, w) is a valid finite distribution
     dist = EmpiricalDistribution(np.column_stack((xi_values, w)))
     e_xi = dist.mean  # = moment(dist, 1), as pow(v, 1.0) is v
-    a = moment(dist, 2)
     b = COEFF_LOW * math.log(T) ** 2
-    tail = tail_second_moment(dist, b)
-    degenerate = a <= 1.0 + 1e-12
-    holds = tail >= a - b - CHECK_TOL
+    theorem = check_tail_inequality(dist, [b])
+    (tail_check,) = theorem.checks
 
     log32 = math.log(T) ** 1.5
     cutoff_low = COEFF_LOW * log32
@@ -550,12 +566,12 @@ def tail_moment_report(
         threshold=c_used * log32,
         restricted_fourth=r4,
         measure_of_set=meas,
-        a=a,
+        a=theorem.a,
         b=b,
-        bound=a - b,
-        tail=tail,
-        holds=holds,
-        degenerate=degenerate,
+        bound=tail_check.lower_bound,
+        tail=tail_check.tail,
+        holds=tail_check.holds,
+        degenerate=theorem.degenerate,
         e_xi=e_xi,
         second_moment=i2,
         fourth_moment=i4,

@@ -1,6 +1,7 @@
 """CLI contract tests: flags, exit codes, formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from momenttail import cli
+from momenttail import cli, moments, skewdet
 from momenttail.moments import TheoremViolationError
 
 
@@ -100,6 +101,15 @@ class TestTheoremCheck:
         argv = ["theorem", "check", "--input", str(path)]
         assert _fresh_interpreter(argv) == (2, "", f"error: {message}\n")
 
+    def test_mean_rounding_to_zero_normalizes(self, capsys, tmp_path):
+        # the mean 2.5e-324 rounds to 0; the exact rescale still divides it out
+        path = tmp_path / "tiny-mean.csv"
+        path.write_text("value,weight\n0,1\n5e-324,1\n", encoding="utf-8")
+        code, out, err = run(capsys, ["theorem", "check", "--input", str(path), "--b", "1"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["a"], payload["max"], payload["degenerate"]) == (2.0, 2.0, False)
+
     def test_overflowing_mean_sum_normalizes(self, capsys, tmp_path):
         # v * w sums past float64, but the mean 1e308 is a float: the exact
         # power-of-two rescale finds it
@@ -161,14 +171,8 @@ class TestFlagHandling:
             ["repro"],
         ],
     )
-    @pytest.mark.parametrize("threads, env", [("0", None), (None, "junk"), (None, "0")])
-    def test_bad_threads_exits_2_everywhere(self, capsys, monkeypatch, argv, threads, env):
-        monkeypatch.delenv("MTL_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("MTL_THREADS", env)
-        if threads is not None:
-            argv = argv + ["--threads", threads]
-        code, out, err = run(capsys, argv)
+    def test_bad_threads_exits_2_everywhere(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--threads", "0"])
         assert code == 2
         assert out == ""
         assert "threads" in err.lower()
@@ -195,6 +199,21 @@ class TestFlagHandling:
         assert (code, out) == (2, "")
         assert err.startswith("error: t = ") and f"{route} route: it accepts t " in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["zeta", "moments", "--T", "0", "--H", "1e12", "--k", "2", "--t-switch", "1"],
+            ["zeta", "tail", "--T", "100", "--H", "1e308", "--step", "1e-300"],
+        ],
+        ids=["moments-huge-window", "tail-infinite-ratio"],
+    )
+    def test_simpson_grid_too_large_exits_2(self, argv):
+        # a fresh interpreter, so a traceback would show; nothing is allocated
+        code, out, err = _fresh_interpreter(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a Simpson grid of step ") and err.count("\n") == 1
+        assert f"more than {cli.zeta.SIMPSON_MAX_NODES} nodes" in err
 
     @pytest.mark.parametrize("convention, sum_absdet", [("zero", "0"), ("unit", "486539264")])
     def test_enum_n7_runs(self, capsys, convention, sum_absdet):
@@ -246,6 +265,31 @@ class TestFlagHandling:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {name} ") and "finite" in err
+
+
+class TestExactChecks:
+    """A violated exact inequality is one `error:` line and exit 1."""
+
+    def test_zeta_tail_violation_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(moments, "_tail_sums", lambda dist, grid: [0.0] * len(grid))
+        code, out, err = run(capsys, ["zeta", "tail", "--T", "500", "--H", "50"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exact inequality violated (bug): tail(")
+        assert err.count("\n") == 1
+
+    def test_det_bound_violation_exits_1(self, capsys, monkeypatch):
+        # max * sum|det| = sum det^2 - 1: one short of the exact bound
+        st = skewdet.DetStats(
+            n=6, mode="exact", convention="zero", count=10**6, s1=1e6, s2=math.sqrt(1e15),
+            sum_absdet=10**12, sum_det2=10**21 + 1, max_abs_det=10**9,
+        )
+        monkeypatch.setattr(cli.skewdet, "enumerate_stats", lambda n: st)
+        code, out, err = run(capsys, ["repro"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: exact inequality violated (bug): enumerated max 1000000000 "
+            "misses exact bound 1000000000000000000001 / 1000000000000\n"
+        )
 
 
 class TestReports:
@@ -328,14 +372,6 @@ class TestDeterminism:
         _, out4, _ = run(capsys, base + ["--threads", "4"])
         assert out1 == out4
 
-    def test_threads_env_var(self, capsys, monkeypatch):
-        argv = ["zeta", "moments", "--T", "40", "--H", "20", "--k", "2",
-                "--step", "0.1", "--no-convergence-check"]
-        _, out1, _ = run(capsys, argv)
-        monkeypatch.setenv("MTL_THREADS", "3")
-        _, out3, _ = run(capsys, argv)
-        assert out1 == out3
-
     def test_search_deterministic(self, capsys):
         argv = ["skewdet", "search", "--n", "6", "--budget", "150", "--seed", "9"]
         _, out1, _ = run(capsys, argv)
@@ -364,7 +400,7 @@ class TestRepro:
 def _fresh_interpreter(argv):
     """Reply of `mtl argv` from a new process: its parser is built anew."""
     src = str(Path(cli.__file__).parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "MTL_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "momenttail.cli", *argv],
@@ -380,8 +416,7 @@ class TestSharedParser:
         assert cli.build_parser() is not cli.build_parser()
         assert cli._parser() is cli._parser()
 
-    def test_repeated_flag_does_not_leak(self, capsys, monkeypatch, dist_csv):
-        monkeypatch.delenv("MTL_THREADS", raising=False)
+    def test_repeated_flag_does_not_leak(self, capsys, dist_csv):
         code, out, _ = run(capsys, ["theorem", "check", "--input", dist_csv, "--b", "0.5", "--b", "1.0"])
         assert code == 0 and len(json.loads(out)["checks"]) == 2
         argv = ["theorem", "check", "--input", dist_csv]
@@ -400,15 +435,13 @@ class TestSharedParser:
         capsys.readouterr()
         assert run(capsys, argv) == (0, before, "")
 
-    def test_threads_flag_does_not_stick(self, capsys, monkeypatch):
-        monkeypatch.setenv("MTL_THREADS", "junk")
+    def test_threads_flag_does_not_stick(self, capsys):
         argv = ["skewdet", "enum", "--n", "3"]
-        code, out, err = run(capsys, argv + ["--threads", "2"])
-        assert (code, err) == (0, "")
-        # without the flag the second call falls back to $MTL_THREADS
+        assert run(capsys, argv + ["--threads", "0"]) == (2, "", "error: threads must be >= 1\n")
+        # without the flag the second call is valid again, as in a new process
         code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == "error: MTL_THREADS must be an integer, got 'junk'\n"
+        assert (code, err) == (0, "")
+        assert (code, out, err) == _fresh_interpreter(argv)
 
     @pytest.mark.parametrize("columns", ["60", "200"])
     def test_help_formatted_at_current_width(self, capsys, monkeypatch, columns):

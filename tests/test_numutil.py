@@ -1,8 +1,6 @@
 """Tests for the shared numeric helpers."""
 
 import math
-import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +10,6 @@ from hypothesis import strategies as st
 
 from momenttail.numutil import (
     LogReal,
-    chunked_map,
     compensated_dot,
     compensated_sum,
     log_factorial,
@@ -82,42 +79,9 @@ def test_logreal_ratio():
 
 def test_resolve_threads_explicit():
     assert resolve_threads(3) == 3
+    assert resolve_threads(None) == 1
     with pytest.raises(ValueError):
         resolve_threads(0)
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.delenv("MTL_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    monkeypatch.setenv("MTL_THREADS", "5")
-    assert resolve_threads(None) == 5
-    monkeypatch.setenv("MTL_THREADS", "junk")
-    with pytest.raises(ValueError):
-        resolve_threads(None)
-
-
-def test_chunked_map_keeps_chunk_order():
-    def square(i):
-        time.sleep(0.002 * (8 - i))  # early chunks finish last
-        return i * i
-
-    chunks = [(i,) for i in range(8)]
-    expected = [i * i for i in range(8)]
-    assert chunked_map(square, chunks, 1) == expected
-    assert chunked_map(square, chunks, 4) == expected
-
-
-@pytest.mark.parametrize("threads, chunks", [(1, 5), (8, 1), (8, 0)])
-def test_chunked_map_serial_without_pool(threads, chunks):
-    # every chunk runs in the calling thread, whatever threads says
-    caller = threading.get_ident()
-    result = chunked_map(lambda i: (-i, threading.get_ident()), [(i,) for i in range(chunks)], threads)
-    assert result == [(-i, caller) for i in range(chunks)]
-
-
-def test_chunked_map_rejects_bad_threads():
-    with pytest.raises(ValueError):
-        chunked_map(lambda: None, [()], 0)
 
 
 @dataclass(frozen=True)

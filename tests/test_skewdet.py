@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from momenttail import skewdet
+from momenttail.moments import TheoremViolationError
 from momenttail.numutil import log_factorial, to_json
 from momenttail.skewdet import (
     DetStats,
@@ -589,6 +590,26 @@ class TestSecondMomentBound:
         st = enumerate_stats(3)
         with pytest.raises(ValueError):
             second_moment_det_bound(st)
+
+    def test_miss_by_one_raises(self):
+        # max * sum|det| = sum det^2 - 1; a 1e-6 relative tolerance accepts it
+        count, sum_abs, max_abs = 10**6, 10**12, 10**9
+        sum_d2 = max_abs * sum_abs + 1
+        st = DetStats(
+            n=6, mode="exact", convention="zero", count=count, s1=sum_abs / count,
+            s2=math.sqrt(sum_d2 / count), sum_absdet=sum_abs, sum_det2=sum_d2,
+            max_abs_det=max_abs,
+        )
+        assert max_abs >= st.s2**2 / st.s1 * (1 - 1e-6)
+        with pytest.raises(TheoremViolationError, match="misses exact bound"):
+            second_moment_det_bound(st)
+        # met with equality, it passes
+        st_eq = DetStats(
+            n=6, mode="exact", convention="zero", count=count, s1=sum_abs / count,
+            s2=math.sqrt((sum_d2 - 1) / count), sum_absdet=sum_abs, sum_det2=sum_d2 - 1,
+            max_abs_det=max_abs,
+        )
+        assert second_moment_det_bound(st_eq) == pytest.approx(max_abs, rel=1e-12)
 
 
 class TestSearch:

@@ -314,6 +314,29 @@ class TestMomentIntegral:
         assert a.value == b.value
 
 
+class TestSimpsonNodeCap:
+    def test_largest_documented_window_accepted(self):
+        # H = 1000 at step 0.05: 40,001 nodes with the half step
+        assert zeta._simpson_intervals(1000.0, 0.05, halve=True) + 1 == 40_001
+
+    def test_cap_is_reachable_and_exact(self):
+        cap = zeta.SIMPSON_MAX_NODES
+        assert zeta._simpson_intervals(1.0, 2.0**-20) + 1 == cap
+        with pytest.raises(ValueError, match=f"more than {cap} nodes"):
+            zeta._simpson_intervals(1.0, 2.0**-20 * (1 - 2.0**-52))
+
+    @pytest.mark.parametrize("convergence_check", [True, False])
+    def test_half_step_grid_counted_before_evaluation(self, convergence_check):
+        step = 2.0**-19 * (1 - 2.0**-52)  # its half step is just past the cap
+        with mock.patch.object(zeta, "zeta_abs_grid", side_effect=AssertionError):
+            if convergence_check:
+                with pytest.raises(ValueError, match="nodes at the half step"):
+                    moment_integral(10.0, 1.0, 2, step=step)
+            else:
+                with pytest.raises(AssertionError):  # accepted, then evaluated
+                    moment_integral(10.0, 1.0, 2, step=step, convergence_check=False)
+
+
 class TestTailReport:
     def test_window_500(self):
         rep = tail_moment_report(500.0, 500.0)
