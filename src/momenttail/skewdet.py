@@ -7,13 +7,18 @@ skew-symmetric; even n gives det = Pf^2 >= 0, odd n gives det = 0) and "unit"
 exact integers: values grow like n^(n/2), past what float LU can represent
 faithfully, and the mean identities checked downstream are exact.
 
-Determinants of sign blocks are batched in numpy: fraction-free (Bareiss)
-elimination in int64 for n <= 16, where Hadamard's bound keeps every
-intermediate below 2^63, and above that det mod a few primes p < 2^26, by
-division-free elimination in float64, rebuilt exactly by the CRT.  Exact
-enumeration walks one matrix per class of conjugation by diagonal +-1
-matrices, which leaves det unchanged, so it computes 2^((n-1)(n-2)/2)
-determinants instead of 2^(n(n-1)/2) and reaches n = 8 in seconds.
+Determinants of sign blocks are batched in numpy.  With zero diagonal, odd n
+needs no arithmetic, and even n takes det = Pf^2 from a skew elimination that
+pivots on 2x2 blocks, n/2 steps on the packed upper triangle: fraction-free in
+int64 with no row swaps for n <= 28, where every pivot is an odd leading
+Pfaffian and Hadamard's bound keeps every intermediate below 2^63, and above
+that Pf mod a few primes p < 2^26, half as many as det would need.  With unit
+diagonal, fraction-free (Bareiss) elimination runs in int64 for n <= 16, and
+above that det mod the primes.  The modular kernels are division-free in
+float64, and the CRT rebuilds the exact integer.  Exact enumeration walks one
+matrix per class of conjugation by diagonal +-1 matrices, which leaves det
+unchanged, so it computes 2^((n-1)(n-2)/2) determinants instead of
+2^(n(n-1)/2) and reaches n = 8 in seconds.
 
 Witness search flips one sign pair at a time.  Each climb keeps det A and the
 exact adjugate adj A of its current matrix, from one fraction-free
@@ -27,6 +32,8 @@ there is 0.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from operator import mul
 
 import numpy as np
 
@@ -233,16 +240,26 @@ def _bareiss_batch(mats: np.ndarray) -> np.ndarray:
     return sign * a[n - 1, n - 1]
 
 
-# Primes for _modular_dets, the largest ten below 2^26.  By Hadamard
-# |det| <= n^(n/2), and the CRT gives det mod M in (-M/2, M/2), which is det
-# itself once M > 2 n^(n/2): that takes 2 primes at n = 17, 4 at n = 32 and
-# all ten at n = N_LIMIT = 80 (2 * 80^40 < 2^254 < M).
+# Largest n for which _pfaffian_batch is exact in int64.  A zero-diagonal +-1
+# matrix of order m has Hadamard bound (m-1)^(m/2) on |det|, so its Pfaffian
+# is at most (m-1)^(m/4).  Every operand of an update is a Pfaffian of order
+# at most n - 2, at most B = (n-3)^((n-2)/4), so each partial sum of the three
+# products is at most 2 B^2 = 2 * 25^13 < 2^62 at n = 28, and the finished sum
+# is an order-(n-4) Pfaffian times an order-n one, at most 23^6 * 27^7 < 2^61.
+# At n = 30 the bound on one product is 27^14 > 2^66.
+PFAFFIAN_LIMIT = 28
+
+# Primes for the CRT routes, the largest ten below 2^26.  The CRT gives a value
+# mod M in (-M/2, M/2), which is the value itself once M > 2 |value|.  By
+# Hadamard |det| <= n^(n/2) and |Pf| <= n^(n/4), so det takes 2 primes at
+# n = 17, 4 at n = 32 and all ten at n = N_LIMIT = 80 (2 * 80^40 < 2^254 < M),
+# and Pf half as many: 2 at n = 32, 3 at n = 48 and 5 at n = 80.
 #
-# _det_mod keeps residues r with |r| <= (p + 1) / 2 <= 2^25 (p < 2^26 odd), so
-# an update x = pivot * r - a_ic * a_cj has |x| <= 2^51 and is exact in
-# float64.  The float product x * (1/p) is within 2^-51 |x| / p <= 1 / p of
-# x / p, so q = rint of it has |x / p - q| <= 1/2 + 1/p, p * q is an exact
-# integer below 2^53, and x - p * q is an integer of magnitude at most
+# The kernels keep residues r with |r| <= (p + 1) / 2 <= 2^25 (p < 2^26 odd).
+# An update adds at most three products of residues, so |x| <= 3 * 2^50 < 2^52
+# is exact in float64.  The float product x * (1/p) is within 2^-52 |x| / p
+# <= 1 / p of x / p, so q = rint of it has |x / p - q| <= 1/2 + 1/p, p * q is
+# an exact integer below 2^53, and x - p * q is an integer of magnitude at most
 # p / 2 + 1, hence at most (p + 1) / 2 again.
 MODULAR_PRIMES = (
     67108859, 67108837, 67108819, 67108777, 67108763,
@@ -250,45 +267,50 @@ MODULAR_PRIMES = (
 )
 # Bytes of the float64 (n, n, k) stack of one _modular_dets call; its scratch
 # buffer is as large, so the working set is bounded for every n (k = 128 at
-# n = 32, 20 at n = 80).
+# n = 32, 20 at n = 80).  The Pfaffian route takes blocks of the same k, whose
+# packed triangle is half that size.
 MODULAR_BYTES = 1 << 20
 
 
-def _crt_basis(n: int) -> tuple[list[int], int, list[int]]:
-    """The fewest leading MODULAR_PRIMES whose product M exceeds 2 n^(n/2), M,
-    and the CRT weights (M / p) * ((M / p)^-1 mod p), one per prime."""
-    bound = 4 * n**n  # M > 2 n^(n/2) exactly when M^2 > 4 n^n
+def _crt_basis(n: int, root: int) -> tuple[list[int], int, list[int]]:
+    """The fewest leading MODULAR_PRIMES whose product M exceeds twice the
+    bound n^(n/root) (root 2 for a determinant, 4 for a Pfaffian), M, and the
+    CRT weights (M / p) * ((M / p)^-1 mod p), one per prime."""
+    bound = 2**root * n**n  # M > 2 n^(n/root) exactly when M^root > 2^root n^n
     primes = []
     modulus = 1
     for p in MODULAR_PRIMES:
-        if modulus * modulus > bound:
+        if modulus**root > bound:
             break
         primes.append(p)
         modulus *= p
-    if modulus * modulus <= bound:
+    if modulus**root <= bound:
         raise ValueError(f"MODULAR_PRIMES do not cover the Hadamard bound at n = {n}")
     return primes, modulus, [modulus // p * pow(modulus // p, -1, p) for p in primes]
 
 
-def _modular_dets(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a (k, n, n) stack of +-1/0 matrices, any n, as an
-    object array of Python ints.
-
-    det mod p for each prime of _crt_basis(n), one prime at a time on one
-    (n, n, k) float64 stack, then the signed det by the CRT.
-    """
-    k, n, _ = mats.shape
-    base = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    a = np.empty((n, n, k))
-    scratch = np.empty((n - 1) * (n - 1) * k)
-    primes, modulus, weights = _crt_basis(n)
-    total = [0] * k
+def _crt(n: int, base: np.ndarray, kernel, root: int) -> np.ndarray:
+    """Exact integers, as an object array, from their residues mod each prime
+    of _crt_basis(n, root): kernel(a, scratch, p) gives them in [0, p) for a
+    float64 copy a of base, which it overwrites."""
+    primes, modulus, weights = _crt_basis(n, root)
+    a = np.empty(base.shape)
+    scratch = np.empty((n - 1) * (n - 1) * base.shape[-1])
+    total = [0] * base.shape[-1]
     for p, weight in zip(primes, weights):
         np.copyto(a, base)
-        total = [t + r * weight for t, r in zip(total, _det_mod(a, scratch, p))]
+        total = [t + r * weight for t, r in zip(total, kernel(a, scratch, p))]
     half = modulus // 2
-    dets = [t % modulus for t in total]
-    return np.array([d - modulus if d > half else d for d in dets], dtype=object)
+    values = [t % modulus for t in total]
+    return np.array([v - modulus if v > half else v for v in values], dtype=object)
+
+
+def _modular_dets(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of a (k, n, n) stack of +-1/0 matrices, any n, as an
+    object array of Python ints: det mod p by _det_mod on one (n, n, k) stack,
+    then the signed det by the CRT."""
+    n = mats.shape[1]
+    return _crt(n, np.ascontiguousarray(mats.transpose(1, 2, 0)), _det_mod, 2)
 
 
 def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
@@ -342,25 +364,188 @@ def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
         sub -= tmp
     lasts = (sign * a[n - 1, n - 1]).astype(np.int64).tolist()
     dens = den.astype(np.int64).tolist()
-    # den is 0 only after a zero pivot, which has made last 0 as well
+    return _divide_mod(lasts, dens, p)
+
+
+def _divide_mod(lasts: list[int], dens: list[int], p: int) -> list[int]:
+    """last / den mod p, in [0, p), per matrix.  den is 0 only after a zero
+    pivot, which has made last 0 as well."""
     return [last * pow(d, -1, p) % p if last else 0 for last, d in zip(lasts, dens)]
+
+
+# A zero-diagonal skew matrix is held by its strict upper triangle, packed row
+# by row in np.triu_indices order: a (m, k) stack, slot s of matrix j in row
+# s, which is the transpose of a (k, m) sign block.  With a = a[c, c+1] != 0,
+# eliminating rows and columns c, c+1 leaves the skew Schur complement
+# S_ij = a_ij - (a_ci a_(c+1)j - a_(c+1)i a_cj) / a, Pf A = a Pf S, and rows
+# i < j of S read only rows c and c+1 and the upper triangle: the trailing
+# block of the packed stack is again the packed triangle of its own order.
+
+
+@cache
+def _row_starts(n: int) -> tuple[int, ...]:
+    """Slot where row i of the packed triangle, entries (i, i+1..n-1), starts,
+    for i = 0..n; the last is m."""
+    return tuple(i * n - i * (i + 1) // 2 for i in range(n + 1))
+
+
+@cache
+def _triangle(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each packed slot of order r."""
+    return np.triu_indices(r, k=1)
+
+
+def _skew_update(packed: np.ndarray, n: int, c: int, scratch: np.ndarray) -> np.ndarray:
+    """Map the packed rows below c + 1 to q x_ij - u_i v_j + v_i u_j in place,
+    with q = a[c, c+1] and u, v rows c, c+1 right of column c + 1, and return
+    them; scratch holds at least (n-2)(n-3) k values of packed's dtype."""
+    starts = _row_starts(n)
+    k = packed.shape[1]
+    row_i, col_j = _triangle(n - 2 - c)
+    size = len(row_i) * k
+    left = scratch[:size].reshape(-1, k)
+    right = scratch[size : 2 * size].reshape(-1, k)
+    u = packed[starts[c] + 1 : starts[c + 1]]
+    v = packed[starts[c + 1] : starts[c + 2]]
+    block = packed[starts[c + 2] :]
+    block *= packed[starts[c]]
+    u.take(row_i, axis=0, out=left)
+    v.take(col_j, axis=0, out=right)
+    left *= right
+    block -= left
+    v.take(row_i, axis=0, out=left)
+    u.take(col_j, axis=0, out=right)
+    left *= right
+    block += left
+    return block
+
+
+def _pfaffian_batch(packed: np.ndarray) -> np.ndarray:
+    """Exact Pfaffians of a packed (m, k) int64 stack of zero-diagonal +-1 skew
+    matrices of even order n <= PFAFFIAN_LIMIT, which it overwrites.
+
+    Fraction-free skew elimination, two rows and columns per step, exact in
+    int64 with no pivoting: dividing each updated entry by the previous pivot
+    is exact, and after the step on rows c, c + 1 entry (i, j) is the Pfaffian
+    of rows and columns 0..c+1, i, j (the Pfaffian form of Sylvester's
+    identity).  So the pivot a[c, c+1] is the leading Pfaffian of order c + 2,
+    a sum of (c+1)!! terms +-1: odd, hence never 0.  It stays in its slot, and
+    Pf is the last entry.
+    """
+    m, k = packed.shape
+    n = (1 + math.isqrt(1 + 8 * m)) // 2
+    size = (n - 2) * (n - 3) // 2 * k
+    scratch = np.empty(2 * size, dtype=np.int64)
+    quotient = np.empty(size)
+    starts = _row_starts(n)
+    for c in range(0, n - 2, 2):
+        block = _skew_update(packed, n, c, scratch)
+        if c:
+            # the exact quotient is a Pfaffian of order c + 4 <= n, below 2^34,
+            # and the float64 quotient is within 2^-51 of it relative, so
+            # rounding gives it exactly, at a third of the cost of int64 floor
+            # division
+            q = quotient[: block.size].reshape(block.shape)
+            np.divide(block, packed[starts[c - 2]], out=q)
+            block[...] = np.rint(q, out=q)
+    return packed[m - 1]
+
+
+def _pf_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
+    """Pf mod p, in [0, p), of each matrix of a packed (m, k) float64 stack of
+    residues, which it overwrites.
+
+    Division-free skew elimination: the step on rows c, c + 1 maps the block
+    below them to q x - u_i v_j + v_i u_j, which scales the Schur complement
+    by G_(s+1) = q_0 ... q_s, s = c / 2.  So the last entry is G_(h-1) times
+    the last Schur pivot, h = n / 2, and Pf = last / (G_0 ... G_(h-2)), with
+    one inverse per matrix.  A pivot that is 0 mod p while row c has a
+    non-zero residue at t takes row and column t added to row and column
+    c + 1, a congruence by a unimodular matrix that keeps Pf.  A row c that is
+    zero mod p leaves pivot 0, which zeroes the rest of the block, so
+    last = 0 and the residue is 0.
+    """
+    m, k = a.shape
+    n = (1 + math.isqrt(1 + 8 * m)) // 2
+    starts = _row_starts(n)
+    inv_p = 1.0 / p
+
+    def reduce(x):
+        return x - p * np.rint(x * inv_p)
+
+    prefix = np.ones(k)  # G_s before step s
+    den = np.ones(k)  # G_0 ... G_s after step s
+    for c in range(0, n - 2, 2):
+        # row c from column c + 1: the first non-zero residue, if not the pivot
+        row_c = a[starts[c] : starts[c + 1]]
+        first = (row_c != 0).argmax(axis=0)
+        fix = np.flatnonzero(first)
+        if len(fix):
+            _add_row(a, n, c, first[fix] + c + 1, fix)
+            a[starts[c + 1] : starts[c + 2], fix] = reduce(a[starts[c + 1] : starts[c + 2], fix])
+        den = reduce(den * prefix)
+        prefix = reduce(prefix * a[starts[c]])
+        block = _skew_update(a, n, c, scratch)
+        tmp = scratch[: block.size].reshape(block.shape)
+        np.multiply(block, inv_p, out=tmp)
+        np.rint(tmp, out=tmp)
+        tmp *= p
+        block -= tmp
+    lasts = a[m - 1].astype(np.int64).tolist()
+    dens = den.astype(np.int64).tolist()
+    return _divide_mod(lasts, dens, p)
+
+
+def _add_row(a: np.ndarray, n: int, c: int, t: np.ndarray, which: np.ndarray):
+    """Add row and column t[w] to row and column c + 1 of matrix which[w] of a
+    packed stack, in the entries the elimination still reads: a[c, c+1] and
+    row c + 1 right of column c + 1."""
+    starts = _row_starts(n)
+    iu, ju = np.triu_indices(n, k=1)
+    slot = np.zeros((n, n), dtype=np.intp)
+    slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
+    # dense row t right of column c + 1: a[t, j] = -a[j, t] below the diagonal
+    cols = np.arange(c + 2, n)
+    sign = np.sign(cols - t[:, None])
+    row_t = a[slot[t[:, None], cols], which[:, None]] * sign
+    a[starts[c + 1] : starts[c + 2], which] += row_t.T
+    # a[c, c+1] is 0, so adding a[c, t] sets it
+    a[starts[c], which] = a[slot[c, t], which]
+
+
+def _pfaffians(n: int, signs: np.ndarray) -> np.ndarray:
+    """Pfaffians of the zero-diagonal skew matrices of a (k, m) sign block, n
+    even: in int64 up to PFAFFIAN_LIMIT, past it by the CRT over Pf mod p."""
+    if n <= PFAFFIAN_LIMIT:
+        return _pfaffian_batch(np.ascontiguousarray(signs.T, dtype=np.int64))
+    return _crt(n, signs.T, _pf_mod, 4)
 
 
 def _block_stats(n: int, signs: np.ndarray, convention: str) -> tuple[int, int, int, int]:
     """(sum |d|, sum d^2, sum d^4, max |d|) over a (k, m) block of sign vectors, k >= 1."""
-    if n <= BATCH_LIMIT:
-        kernel, size = _bareiss_batch, BATCH_SIZE
+    zero = convention == "zero"
+    if zero and n % 2:
+        # det A = det(-A^T) = -det A for odd n: every determinant is 0
+        return 0, 0, 0, 0
+    if n <= (PFAFFIAN_LIMIT if zero else BATCH_LIMIT):
+        size = BATCH_SIZE
     else:
-        # past int64: determinants mod word-size primes, in sub-blocks whose
-        # float64 stack is about MODULAR_BYTES
-        kernel, size = _modular_dets, max(1, MODULAR_BYTES // (8 * n * n))
-    absdets = []
+        # past int64: residues mod word-size primes, in sub-blocks of k
+        # matrices whose float64 (n, n, k) stack is about MODULAR_BYTES
+        size = max(1, MODULAR_BYTES // (8 * n * n))
+    values = []
     for start in range(0, len(signs), size):
-        mats = _matrices(n, signs[start : start + size], convention)
-        absdets += np.abs(kernel(mats)).tolist()
-    # Python ints from here: d^2 overflows int64 from n = 16, d^4 from n = 10
-    squares = [d * d for d in absdets]
-    return sum(absdets), sum(squares), sum(d2 * d2 for d2 in squares), max(absdets)
+        block = signs[start : start + size]
+        if zero:
+            values += _pfaffians(n, block).tolist()
+        else:
+            kernel = _bareiss_batch if n <= BATCH_LIMIT else _modular_dets
+            values += kernel(_matrices(n, block, convention)).tolist()
+    # Python ints from here: d^2 overflows int64 from n = 16, d^4 from n = 10;
+    # with zero diagonal det = Pf^2
+    absdets = list(map(mul, values, values)) if zero else list(map(abs, values))
+    squares = list(map(mul, absdets, absdets))
+    return sum(absdets), sum(squares), sum(map(mul, squares, squares)), max(absdets)
 
 
 def _reduce(parts: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
@@ -505,9 +690,9 @@ def mc_stats(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     resolve_threads(threads)
-    # chunks run serially: the numpy steps of the int64 batched determinants
-    # are too short to overlap, so a second thread never paid
-    # (mc_stats(10, 20000), 2 CPUs: 0.097-0.100 s at 1 thread, 0.098-0.103 s
+    # chunks run serially: the numpy steps of the int64 batched kernels are
+    # too short to overlap, so a second thread never paid (with Bareiss,
+    # mc_stats(10, 20000), 2 CPUs: 0.097-0.100 s at 1 thread, 0.098-0.103 s
     # at 2)
     sum_abs, sum_d2, sum_d4, max_abs = _reduce([
         _mc_chunk(n, seed, i, min(MC_CHUNK, samples - start), convention)

@@ -27,16 +27,22 @@ from momenttail.skewdet import (
     BATCH_LIMIT,
     MODULAR_PRIMES,
     N_LIMIT,
+    PFAFFIAN_LIMIT,
     SearchResult,
     _adjugate,
     _bareiss,
     _bareiss_batch,
     _block_stats,
+    _crt,
     _crt_basis,
     _flip_adjugate,
     _flip_det,
     _matrices,
     _modular_dets,
+    _pf_mod,
+    _pfaffian_batch,
+    _pfaffians,
+    _row_starts,
 )
 
 from oracles import det_cofactor
@@ -349,7 +355,7 @@ class TestModularDets:
 
     @pytest.mark.parametrize("n", range(17, N_LIMIT + 1))
     def test_primes_cover_hadamard_bound(self, n):
-        primes, modulus, weights = _crt_basis(n)
+        primes, modulus, weights = _crt_basis(n, 2)
         assert primes == list(MODULAR_PRIMES[: len(primes)])
         assert modulus == math.prod(primes)
         # M > 2 n^(n/2), and no shorter prefix would do
@@ -358,12 +364,12 @@ class TestModularDets:
             assert [w % q for q in primes] == [int(q == p) for q in primes]
 
     def test_prime_counts(self):
-        assert [len(_crt_basis(n)[0]) for n in (17, 32, 80)] == [2, 4, 10]
+        assert [len(_crt_basis(n, 2)[0]) for n in (17, 32, 80)] == [2, 4, 10]
 
     def test_uncovered_bound_rejected(self, monkeypatch):
         monkeypatch.setattr(skewdet, "MODULAR_PRIMES", MODULAR_PRIMES[:3])
         with pytest.raises(ValueError, match="n = 32"):
-            _crt_basis(32)
+            _crt_basis(32, 2)
 
     def test_block_stats_over_many_sub_blocks(self, monkeypatch):
         # 7 matrices per _modular_dets call: 300 sign vectors take 43 calls
@@ -376,6 +382,192 @@ class TestModularDets:
             sum(d**4 for d in absdets),
             max(absdets),
         )
+
+
+def packed(signs):
+    """The packed (m, k) int64 stack of a (k, m) sign block."""
+    return np.ascontiguousarray(signs.T, dtype=np.int64)
+
+
+def gf27_mul(x, y):
+    """Product in GF(27) = GF(3)[t] / (t^3 - t + 1), elements as base-3 digits."""
+    px = [x // 3**i % 3 for i in range(3)]
+    py = [y // 3**i % 3 for i in range(3)]
+    prod = [0] * 5
+    for i in range(3):
+        for j in range(3):
+            prod[i + j] += px[i] * py[j]
+    for d in (4, 3):  # t^d = t^(d-2) - t^(d-3)
+        prod[d - 2] += prod[d]
+        prod[d - 3] -= prod[d]
+    return sum(prod[i] % 3 * 3**i for i in range(3))
+
+
+def gf27_sub(x, y):
+    return sum((x // 3**i - y // 3**i) % 3 * 3**i for i in range(3))
+
+
+def paley_skew(q):
+    """Sign block of the Paley skew conference matrix of order q + 1, q = 3 mod 4
+    a prime or 27: zero diagonal, C C^T = q I, so |Pf| = q^((q+1)/4), the
+    Hadamard bound (n-1)^(n/4) of a zero-diagonal +-1 matrix of order n."""
+    if q == 27:
+        mul, sub = gf27_mul, gf27_sub
+    else:
+        mul, sub = (lambda x, y: x * y % q), (lambda x, y: (x - y) % q)
+    squares = {mul(x, x) for x in range(1, q)}
+    c = np.zeros((q + 1, q + 1), dtype=np.int8)
+    c[0, 1:], c[1:, 0] = 1, -1
+    for i in range(q):
+        for j in range(q):
+            if i != j:
+                c[1 + i, 1 + j] = 1 if sub(j, i) in squares else -1
+    assert (c == -c.T).all()
+    assert (c.astype(np.int64) @ c.T == q * np.eye(q + 1, dtype=np.int64)).all()
+    return c
+
+
+class TestPfaffians:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_signed_pfaffian_matches_expansion(self, n):
+        signs = random_signs(n, 30, key=1300 + n)
+        expected = [pfaffian_exact(SkewSignMatrix(n, tuple(s))) for s in signs.tolist()]
+        assert _pfaffians(n, signs).tolist() == expected
+
+    @pytest.mark.parametrize("n", [*range(2, PFAFFIAN_LIMIT + 1, 2), 30, 32, 48, 80])
+    def test_squares_match_bareiss(self, n):
+        signs = random_signs(n, 4 if n == 80 else 20, key=1400 + n)
+        pfs = _pfaffians(n, signs).tolist()
+        assert [pf * pf for pf in pfs] == per_matrix_dets(_matrices(n, signs, "zero"))
+
+    @pytest.mark.parametrize("n", [4, 12, 20, 28])
+    def test_modular_route_keeps_the_sign(self, n):
+        signs = random_signs(n, 30, key=1500 + n)
+        assert _crt(n, signs.T, _pf_mod, 4).tolist() == _pfaffians(n, signs).tolist()
+
+    @pytest.mark.parametrize("n", [8, 16, PFAFFIAN_LIMIT])
+    def test_int64_pivots_are_odd_leading_pfaffians(self, n):
+        signs = random_signs(n, 200, key=1600 + n)
+        stack = packed(signs)
+        _pfaffian_batch(stack)
+        starts = _row_starts(n)
+        pivots = stack[[starts[c] for c in range(0, n, 2)]]
+        assert (pivots % 2 == 1).all()
+        # pivot s is the Pfaffian of the leading block of order 2s + 2
+        iu, ju = np.triu_indices(n, k=1)
+        for order in range(2, min(n, 10) + 1, 2):
+            lead = signs[:10, (iu < order) & (ju < order)].tolist()
+            assert pivots[order // 2 - 1, :10].tolist() == [
+                pfaffian_exact(SkewSignMatrix(order, tuple(s))) for s in lead
+            ]
+
+    @pytest.mark.parametrize("q", [23, 27, 31])
+    def test_paley_matrices_reach_the_hadamard_bound(self, q):
+        # n = 24 and n = 28 = PFAFFIAN_LIMIT on the int64 route, where 27^7 is
+        # the largest Pfaffian it must hold; n = 32 on the modular route.  Each
+        # under symmetric permutations, which reorder every pivot.
+        c = paley_skew(q)
+        n = q + 1
+        rng = np.random.Generator(np.random.Philox(key=1700 + q))
+        mats = [c] + [c[np.ix_(perm, perm)] for perm in (rng.permutation(n) for _ in range(15))]
+        iu, ju = np.triu_indices(n, k=1)
+        signs = np.stack([mat[iu, ju] for mat in mats])
+        pfs = _pfaffians(n, signs).tolist()
+        assert {abs(pf) for pf in pfs} == {q ** (n // 4)}
+        assert [pf * pf for pf in pfs[:4]] == per_matrix_dets(np.stack(mats[:4]))
+
+    def test_int64_overflows_past_the_limit(self):
+        # order 30 with the Paley matrix C of order 28 on both 0..27 and
+        # 0..25, 28, 29: the last update multiplies two Pfaffians of order 28,
+        # 27^14 > 2^63, so int64 wraps, and the modular route is needed
+        c = paley_skew(27)
+        n = PFAFFIAN_LIMIT + 2
+        rng = np.random.Generator(np.random.Philox(key=1750))
+        iu, ju = np.triu_indices(n, k=1)
+        blocks = []
+        for _ in range(8):
+            mat = np.zeros((n, n), dtype=np.int8)
+            mat[:28, :28] = c
+            mat[:26, 28:] = c[:26, 26:28]
+            mat[28, 29] = c[26, 27]
+            mat[26:28, 28:] = rng.integers(0, 2, size=(2, 2)) * 2 - 1
+            mat[28:, :28] = -mat[:28, 28:].T
+            mat[29, 28] = -mat[28, 29]
+            blocks.append(mat[iu, ju])
+        signs = np.stack(blocks)
+        dets = per_matrix_dets(_matrices(n, signs, "zero"))
+        assert [pf * pf for pf in _pfaffians(n, signs).tolist()] == dets
+        assert [pf * pf for pf in _pfaffian_batch(packed(signs)).tolist()] != dets
+
+    @pytest.mark.parametrize("n", [30, 32])
+    def test_small_primes(self, monkeypatch, n):
+        # residues mod 3, 5, 7, ... vanish often, so pivots need fixing, rows
+        # go dead mod p and the CRT runs over many primes
+        monkeypatch.setattr(skewdet, "MODULAR_PRIMES", tuple(filter(is_prime, range(3, 120))))
+        signs = random_signs(n, 30, key=1800 + n)
+        pfs = _pfaffians(n, signs).tolist()
+        assert [pf * pf for pf in pfs] == per_matrix_dets(_matrices(n, signs, "zero"))
+        assert any(pf % 3 == 0 for pf in pfs)
+
+    def test_zero_pivots_and_dead_rows_mod_3(self):
+        # the int64 route's pivots are the leading Pfaffians: where one is
+        # 0 mod 3 the modular kernel must fix the pivot, and where Pf is 0 mod 3
+        # some row goes dead
+        n = 24
+        signs = random_signs(n, 60, key=1900)
+        stack = packed(signs)
+        pfs = _pfaffian_batch(stack).tolist()
+        starts = _row_starts(n)
+        pivots = stack[[starts[c] for c in range(0, n - 2, 2)]]
+        fixed = (pivots % 3 == 0).any(axis=0) & (np.array(pfs) % 3 != 0)
+        assert fixed.any() and any(pf % 3 == 0 for pf in pfs)
+        residues = _pf_mod(signs.T.astype(float), np.empty((n - 1) ** 2 * 60), 3)
+        assert residues == [pf % 3 for pf in pfs]
+
+    @pytest.mark.parametrize("n", [PFAFFIAN_LIMIT, PFAFFIAN_LIMIT + 2])
+    def test_block_stats_over_many_sub_blocks(self, monkeypatch, n):
+        # 7 matrices per modular call at n = 30: 100 sign vectors take 15 calls
+        monkeypatch.setattr(skewdet, "MODULAR_BYTES", 8 * 30 * 30 * 7)
+        signs = random_signs(n, 100, key=2000 + n)
+        absdets = [abs(d) for d in per_matrix_dets(_matrices(n, signs, "zero"))]
+        assert _block_stats(n, signs, "zero") == (
+            sum(absdets),
+            sum(d**2 for d in absdets),
+            sum(d**4 for d in absdets),
+            max(absdets),
+        )
+
+    def test_odd_zero_diagonal_builds_nothing(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("odd zero-diagonal blocks need no elimination")
+
+        for name in ("_matrices", "_pfaffians", "_bareiss_batch", "_modular_dets"):
+            monkeypatch.setattr(skewdet, name, unreachable)
+        for n in (1, 3, 15, 17, 79):
+            assert _block_stats(n, random_signs(n, 5, key=2100 + n), "zero") == (0, 0, 0, 0)
+        st = mc_stats(15, 1000, seed=3)
+        assert st.sum_absdet == st.sum_det2 == st.max_abs_det == 0
+
+    @pytest.mark.parametrize("n", range(PFAFFIAN_LIMIT + 2, N_LIMIT + 1, 2))
+    def test_primes_cover_pfaffian_bound(self, n):
+        primes, modulus, _ = _crt_basis(n, 4)
+        # M > 2 n^(n/4), and no shorter prefix would do
+        assert modulus**4 > 16 * n**n >= (modulus // primes[-1]) ** 4
+
+    def test_prime_counts(self):
+        # half the primes of the determinant route
+        assert [len(_crt_basis(n, 4)[0]) for n in (30, 32, 48, 80)] == [2, 2, 3, 5]
+
+    def test_memory_at_n32_below_det_route(self):
+        # the packed stack is half the (n, n, k) stack of the determinant
+        # route, whose mc_stats(32, 100) peaked at 1.98 MiB
+        tracemalloc.start()
+        try:
+            mc_stats(32, 100, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.98 * 2**20
 
 
 class TestEnumeration:
