@@ -13,20 +13,22 @@ pivots on 2x2 blocks, n/2 steps on the packed upper triangle: fraction-free in
 int64 with no row swaps for n <= 28, where every pivot is an odd leading
 Pfaffian and Hadamard's bound keeps every intermediate below 2^63, and above
 that Pf mod a few primes p < 2^26, half as many as det would need.  With unit
-diagonal, fraction-free (Bareiss) elimination runs in int64 for n <= 16, and
-above that det mod the primes.  The modular kernels are division-free in
-float64, and the CRT rebuilds the exact integer.  Exact enumeration walks one
-matrix per class of conjugation by diagonal +-1 matrices, which leaves det
-unchanged, so it computes 2^((n-1)(n-2)/2) determinants instead of
-2^(n(n-1)/2) and reaches n = 8 in seconds.
+diagonal, fraction-free (Bareiss) elimination runs in int64 with no row swaps
+for n <= 16, every pivot being a leading minor det(I + S) >= 1, and above that
+det mod the primes.  The modular kernels are division-free in float64, fix a
+pivot that is 0 mod p by adding a later row, which keeps det and Pf, and the
+CRT rebuilds the exact integer.  Exact enumeration walks one matrix per class
+of conjugation by diagonal +-1 matrices, which leaves det unchanged, so it
+computes 2^((n-1)(n-2)/2) determinants instead of 2^(n(n-1)/2) and reaches n = 8
+in seconds.
 
 Witness search flips one sign pair at a time.  Each climb keeps det A and the
 exact adjugate adj A of its current matrix, from one fraction-free
-Gauss-Jordan elimination at its start; a flip changes two entries, so the
-matrix determinant lemma gives every flipped determinant exactly in O(1)
-integer operations, and an accepted flip updates adj A in O(n^2).  The only
-singular matrices (zero diagonal, odd n) need no climb: every determinant
-there is 0.
+Gauss-Jordan elimination at its start, which fixes a zero pivot the same way
+as the modular kernels; a flip changes two entries, so the matrix determinant
+lemma gives every flipped determinant exactly in O(1) integer operations, and
+an accepted flip updates adj A in O(n^2).  The only singular matrices (zero
+diagonal, odd n) need no climb: every determinant there is 0.
 """
 
 import math
@@ -49,6 +51,16 @@ N_LIMIT = 80
 _CONVENTIONS = ("zero", "unit")
 
 
+def _require_convention(convention: str):
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"convention must be one of {_CONVENTIONS}")
+
+
+def _all_singular(n: int, convention: str) -> bool:
+    """Zero diagonal and odd n: every det A = det(-A^T) = -det A is 0."""
+    return convention == "zero" and n % 2 == 1
+
+
 @dataclass(frozen=True)
 class SkewSignMatrix:
     """Sign assignment for the strict upper triangle, row-major order."""
@@ -65,8 +77,7 @@ class SkewSignMatrix:
             raise ValueError(f"expected {m} upper-triangle signs, got {len(self.upper)}")
         if any(s not in (-1, 1) for s in self.upper):
             raise ValueError("upper-triangle entries must be +1 or -1")
-        if self.convention not in _CONVENTIONS:
-            raise ValueError(f"convention must be one of {_CONVENTIONS}")
+        _require_convention(self.convention)
 
     @classmethod
     def from_bits(cls, n: int, bits: int, convention: str = "zero") -> "SkewSignMatrix":
@@ -122,23 +133,22 @@ def _adjugate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
     """(det A, adj A) of a non-singular integer matrix, by fraction-free
     Gauss-Jordan elimination on [A | I]; every division below is exact.
 
-    After the last step the left block is p I, p = +-det A the last pivot, and
-    the right block is p A^-1 = +-adj A, the sign being that of the row swaps.
-    Every entry is a minor of [A | I] (Bareiss 1968).  Step k reads nothing
-    left of column k, so each row drops that column.
+    A zero pivot takes the first later row with a non-zero entry in its column
+    added; rows at or below k are one linear map of their rows of [A | I], so
+    this eliminates [E A | E], E unimodular.  The last step leaves p I, p =
+    det A the last pivot, and p (E A)^-1 E = adj A, all minors of [E A | E]
+    (Bareiss 1968).  Step k reads nothing left of column k, so rows drop it.
     """
     n = len(rows)
     a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign = 1
     prev = 1
     for k in range(n):
         # a[i][0] is column k of row i
         if a[k][0] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][0] != 0), None)
-            if swap is None:
+            t = next((i for i in range(k + 1, n) if a[i][0] != 0), None)
+            if t is None:
                 raise ValueError("matrix is singular")
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
+            a[k] = [x + y for x, y in zip(a[k], a[t])]
         pivot = a[k][0]
         row_k = a[k][1:]
         for i in range(n):
@@ -148,7 +158,7 @@ def _adjugate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
                 aik = a[i][0]
                 a[i] = [(x * pivot - aik * y) // prev for x, y in zip(a[i][1:], row_k)]
         prev = pivot
-    return sign * prev, [[sign * x for x in row] for row in a]
+    return prev, a
 
 
 # A flip at slot (i, j) with current sign s = a_ij gives A' = A + U W with
@@ -207,37 +217,28 @@ BATCH_SIZE = 256
 
 
 def _bareiss_batch(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a (k, n, n) stack of +-1/0 matrices, n <= BATCH_LIMIT.
+    """Exact determinants of a (k, n, n) stack of unit-diagonal +-1 skew-type
+    matrices (A + A^T = 2I), n <= BATCH_LIMIT.
 
     The same fraction-free elimination as _bareiss, run on every matrix at
-    once in int64 with per-matrix row swaps.  The stack is held as (n, n, k)
-    so that each elementwise step runs over k contiguous values.
+    once in int64 with no row swaps: the pivot at step c is the leading minor
+    det(I + S_c), S_c skew with eigenvalues 0 and +-i mu, so it is
+    prod(1 + mu^2) >= 1.  The stack is held as (n, n, k) so that each
+    elementwise step runs over k contiguous values.
     """
-    k, n, _ = mats.shape
+    n = mats.shape[1]
     a = np.ascontiguousarray(mats.transpose(1, 2, 0), dtype=np.int64)
-    sign = np.ones(k, dtype=np.int64)
-    prev = np.ones(k, dtype=np.int64)
     for c in range(n - 1):
-        # first row at or below c with a non-zero entry in column c
-        first = (a[c:, c] != 0).argmax(axis=0)
-        swap = np.flatnonzero(first)
-        if len(swap):
-            other = first[swap] + c
-            a[c, :, swap], a[other, :, swap] = a[other, :, swap], a[c, :, swap]
-            sign[swap] = -sign[swap]
-        # a dead matrix (column c all zero) has pivot 0: its remaining block
-        # becomes 0, and dividing by 1 at the next step keeps it 0, so det = 0
-        pivot = a[c, c].copy()
         sub = a[c + 1 :, c + 1 :]
-        sub *= pivot
+        sub *= a[c, c]
         sub -= a[c + 1 :, c, None] * a[c, None, c + 1 :]
-        # the exact quotient is an order-(c+2) minor, |q| <= n^(n/2) <= 2^32, and
-        # the float64 quotient is within 2^-52 |q| < 1/2 of it: rounding gives
-        # q exactly, at a third of the cost of int64 floor division
-        quotient = sub / prev
-        sub[...] = np.rint(quotient, out=quotient)
-        prev = np.where(pivot == 0, 1, pivot)
-    return sign * a[n - 1, n - 1]
+        if c:
+            # the exact quotient is an order-(c+2) minor, |q| <= n^(n/2) <= 2^32,
+            # and the float64 quotient is within 2^-52 |q| < 1/2 of it: rounding
+            # gives q exactly, at a third of the cost of int64 floor division
+            quotient = sub / a[c - 1, c - 1]
+            sub[...] = np.rint(quotient, out=quotient)
+    return a[n - 1, n - 1]
 
 
 # Largest n for which _pfaffian_batch is exact in int64.  A zero-diagonal +-1
@@ -320,9 +321,10 @@ def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
     Division-free elimination: step c maps the block below and right of the
     pivot q_c to q_c x - a_ic a_cj, which scales the Schur complement by
     F_(c+1) = q_0 ... q_c.  So the last entry is F_(n-1) times the last Schur
-    pivot, and det = sign * last / (F_1 ... F_(n-2)), with one inverse per
-    matrix.  A column that is zero mod p from the pivot down leaves pivot 0,
-    which zeroes the rest of the block, so last = 0 and the residue is 0.
+    pivot, and det = last / (F_1 ... F_(n-2)), with one inverse per matrix.
+    A pivot 0 mod p takes the first later row non-zero in its column added,
+    which keeps det.  A column that is zero mod p from the pivot down leaves
+    pivot 0, which zeroes the rest of the block, so the residue is 0.
     """
     n, _, k = a.shape
     inv_p = 1.0 / p
@@ -334,17 +336,14 @@ def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
     # columns j..n-1 of row i of every matrix
     a2 = a.reshape(n, n * k)
     tiled = np.empty((n - 1, k))
-    sign = np.ones(k)
     prefix = np.ones(k)  # F_c before step c
     den = np.ones(k)  # F_0 ... F_c after step c
     for c in range(n - 1):
         # first row at or below c with a non-zero residue in column c
         first = (a[c:, c] != 0).argmax(axis=0)
-        swap = np.flatnonzero(first)
-        if len(swap):
-            other = first[swap] + c
-            a[c, c:, swap], a[other, c:, swap] = a[other, c:, swap], a[c, c:, swap]
-            sign[swap] = -sign[swap]
+        fix = np.flatnonzero(first)
+        if len(fix):
+            a[c, c:, fix] = reduce(a[c, c:, fix] + a[first[fix] + c, c:, fix])
         pivot = a[c, c]
         den = reduce(den * prefix)
         prefix = reduce(prefix * pivot)
@@ -362,7 +361,7 @@ def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
         np.rint(tmp, out=tmp)
         tmp *= p
         sub -= tmp
-    lasts = (sign * a[n - 1, n - 1]).astype(np.int64).tolist()
+    lasts = a[n - 1, n - 1].astype(np.int64).tolist()
     dens = den.astype(np.int64).tolist()
     return _divide_mod(lasts, dens, p)
 
@@ -501,16 +500,15 @@ def _add_row(a: np.ndarray, n: int, c: int, t: np.ndarray, which: np.ndarray):
     packed stack, in the entries the elimination still reads: a[c, c+1] and
     row c + 1 right of column c + 1."""
     starts = _row_starts(n)
-    iu, ju = np.triu_indices(n, k=1)
-    slot = np.zeros((n, n), dtype=np.intp)
-    slot[iu, ju] = slot[ju, iu] = np.arange(len(iu))
-    # dense row t right of column c + 1: a[t, j] = -a[j, t] below the diagonal
+    # dense row t right of column c + 1, (i, j) with i < j in slot
+    # starts[i] + j - i - 1: a[t, j] = -a[j, t] below the diagonal, a[t, t] = 0
     cols = np.arange(c + 2, n)
-    sign = np.sign(cols - t[:, None])
-    row_t = a[slot[t[:, None], cols], which[:, None]] * sign
+    offset = cols - t[:, None]
+    slots = np.take(starts, np.minimum(cols, t[:, None])) + np.abs(offset) - 1
+    row_t = a[slots, which[:, None]] * np.sign(offset)
     a[starts[c + 1] : starts[c + 2], which] += row_t.T
     # a[c, c+1] is 0, so adding a[c, t] sets it
-    a[starts[c], which] = a[slot[c, t], which]
+    a[starts[c], which] = a[starts[c] + t - c - 1, which]
 
 
 def _pfaffians(n: int, signs: np.ndarray) -> np.ndarray:
@@ -523,10 +521,9 @@ def _pfaffians(n: int, signs: np.ndarray) -> np.ndarray:
 
 def _block_stats(n: int, signs: np.ndarray, convention: str) -> tuple[int, int, int, int]:
     """(sum |d|, sum d^2, sum d^4, max |d|) over a (k, m) block of sign vectors, k >= 1."""
-    zero = convention == "zero"
-    if zero and n % 2:
-        # det A = det(-A^T) = -det A for odd n: every determinant is 0
+    if _all_singular(n, convention):
         return 0, 0, 0, 0
+    zero = convention == "zero"
     if n <= (PFAFFIAN_LIMIT if zero else BATCH_LIMIT):
         size = BATCH_SIZE
     else:
@@ -549,8 +546,8 @@ def _block_stats(n: int, signs: np.ndarray, convention: str) -> tuple[int, int, 
 
 
 def _reduce(parts: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
-    """Combine per-chunk _block_stats results."""
-    sum_abs, sum_d2, sum_d4, max_abs = zip(*parts)
+    """Combine per-chunk _block_stats results (no part: all zeros)."""
+    sum_abs, sum_d2, sum_d4, max_abs = zip((0, 0, 0, 0), *parts)
     return sum(sum_abs), sum(sum_d2), sum(sum_d4), max(max_abs)
 
 
@@ -619,6 +616,7 @@ class DetStats:
 
 def enumerate_stats(n: int, convention: str = "zero") -> DetStats:
     """Exact s1, s2 and max over every sign assignment (2^(n(n-1)/2) matrices)."""
+    _require_convention(convention)
     if n < 1:
         raise ValueError("n must be positive")
     if n > ENUM_LIMIT:
@@ -630,8 +628,8 @@ def enumerate_stats(n: int, convention: str = "zero") -> DetStats:
     # Conjugating by diag(+-1) maps a_ij to d_i d_j a_ij: it keeps det and the
     # diagonal, and its 2^(n-1) distinct actions (d and -d act alike) meet each
     # class once with all first-row signs +1.  So walk those representatives
-    # and weight each by 2^(n-1).
-    classes = 1 << (m - n + 1)
+    # and weight each by 2^(n-1).  A singular ensemble needs no walk.
+    classes = 0 if _all_singular(n, convention) else 1 << (m - n + 1)
     sum_abs, sum_d2, _, max_abs = _reduce([
         _enum_chunk(n, start, min(start + MC_CHUNK, classes), convention)
         for start in range(0, classes, MC_CHUNK)
@@ -682,7 +680,9 @@ def mc_stats(
     Sampling is split into fixed chunks with per-chunk counter-based
     substreams keyed by (seed, chunk index) and exact integer accumulators.
     threads is validated but does not change the result or the schedule.
+    A singular ensemble draws nothing.
     """
+    _require_convention(convention)
     if n < 1:
         raise ValueError("n must be positive")
     if n > N_LIMIT:
@@ -694,9 +694,10 @@ def mc_stats(
     # too short to overlap, so a second thread never paid (with Bareiss,
     # mc_stats(10, 20000), 2 CPUs: 0.097-0.100 s at 1 thread, 0.098-0.103 s
     # at 2)
+    drawn = 0 if _all_singular(n, convention) else samples
     sum_abs, sum_d2, sum_d4, max_abs = _reduce([
         _mc_chunk(n, seed, i, min(MC_CHUNK, samples - start), convention)
-        for i, start in enumerate(range(0, samples, MC_CHUNK))
+        for i, start in enumerate(range(0, drawn, MC_CHUNK))
     ])
 
     N = samples
@@ -811,6 +812,7 @@ def search_high_det(
     every evaluation gives 0, so the result (the first start matrix, |det| 0,
     budget evaluations) is returned without climbing.
     """
+    _require_convention(convention)
     if n < 2:
         raise ValueError("n must be at least 2")
     if n > N_LIMIT:
@@ -824,7 +826,7 @@ def search_high_det(
     best_upper = ()
     best_det = -1
     evals = 0
-    if convention == "zero" and n % 2:
+    if _all_singular(n, convention):
         # every matrix is singular: the first start stays best, and the climb
         # only spends the budget on zeros
         signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
@@ -835,10 +837,6 @@ def search_high_det(
         rows = _matrices(n, signs, convention)[0].tolist()
         det, adj = _adjugate(rows)
         evals += 1
-        cur_det = abs(det)
-        if cur_det > best_det:
-            best_det, best_upper = cur_det, tuple(rows[i][j] for i, j in slots)
-
         improved = True
         while improved and evals < budget:
             improved = False
@@ -848,27 +846,23 @@ def search_high_det(
                 s = rows[i][j]
                 d = _flip_det(det, adj, i, j, s)
                 evals += 1
-                if abs(d) > cur_det:
+                if abs(d) > abs(det):
                     # first improvement: keep the flip and restart the sweep
                     rows[i][j], rows[j][i] = -s, s
                     adj = _flip_adjugate(det, d, adj, i, j, s)
-                    det, cur_det = d, abs(d)
-                    if cur_det > best_det:
-                        best_det, best_upper = cur_det, tuple(rows[i][j] for i, j in slots)
+                    det = d
                     improved = True
                     break
+        # |det| only rises along a climb, so its last matrix is its best
+        if abs(det) > best_det:
+            best_det, best_upper = abs(det), tuple(rows[i][j] for i, j in slots)
 
-    bound = det_existence_bound(n)
-    ratio_bound = math.exp(math.log(best_det) - bound.log) if best_det > 0 else 0.0
-    if n % 2 == 0:
-        s1a = szekeres_s1_asym(n)
-        ratio_s1 = math.exp(math.log(best_det) - s1a.log) if best_det > 0 else 0.0
-    else:
-        ratio_s1 = None
+    # log 0 = -inf gives ratio 0.0
+    best = LogReal(math.log(best_det) if best_det else -math.inf)
     return SearchResult(
         matrix=SkewSignMatrix(n, best_upper, convention),
         abs_det=best_det,
         evaluations=evals,
-        ratio_to_existence_bound=ratio_bound,
-        ratio_to_s1_asym=ratio_s1,
+        ratio_to_existence_bound=best.ratio_to(det_existence_bound(n)),
+        ratio_to_s1_asym=None if n % 2 else best.ratio_to(szekeres_s1_asym(n)),
     )

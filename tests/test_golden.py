@@ -6,8 +6,10 @@ quadrature and libm transcendentals, whose last bits may differ between CPUs,
 so for them the flattened key paths and value types must match exactly and
 the numbers must agree to 1e-12 relative.
 
-`python tests/test_golden.py` rewrites the goldens from the current code; run
-it only when a change to the output is intended.
+`python tests/test_golden.py NAME ...` rewrites the named goldens from the
+current code, and with no name every golden; run it only when a change to the
+output is intended, and name only the cases it concerns, since the inexact ones
+would pick up this host's last bits.
 """
 
 import json
@@ -74,8 +76,12 @@ CASES = {
                        True),
     "skewdet-mc-n17-unit": (["skewdet", "mc", "--n", "17", "--samples", "200", "--seed", "3",
                              "--convention", "unit"], True),
+    "skewdet-mc-unit": (["skewdet", "mc", "--n", "14", "--samples", "2000", "--seed", "5",
+                         "--convention", "unit"], True),
     "skewdet-search": (["skewdet", "search", "--n", "8", "--budget", "300",
                         "--seed", "1"], True),
+    "skewdet-search-unit": (["skewdet", "search", "--n", "12", "--budget", "600",
+                             "--seed", "2", "--convention", "unit"], True),
     "skewdet-search-odd": (["skewdet", "search", "--n", "5", "--budget", "100",
                             "--seed", "2", "--convention", "unit"], True),
     "symchar-report": (["symchar", "report", "--n", "12", "--eps", "0.1"], False),
@@ -166,8 +172,13 @@ def test_matches_golden(capsys, name, fmt):
 if __name__ == "__main__":
     import contextlib
     import io
+    import sys
 
-    for name, (argv, _) in CASES.items():
+    unknown = set(sys.argv[1:]) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(sorted(unknown))}")
+    for name in sys.argv[1:] or CASES:
+        argv = CASES[name][0]
         for fmt, ext in FORMATS.items():
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):

@@ -3,11 +3,12 @@
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momenttail import skewdet
+from momenttail import cli, skewdet
 from momenttail.moments import TheoremViolationError
 from momenttail.numutil import log_factorial, to_json
 from momenttail.skewdet import (
@@ -63,9 +64,10 @@ def per_matrix_dets(mats):
 
 
 def batch_dets(mats):
-    """Exact determinants of a (k, n, n) stack: int64 Bareiss up to BATCH_LIMIT,
-    the multi-modular kernel above."""
-    kernel = _bareiss_batch if mats.shape[1] <= BATCH_LIMIT else _modular_dets
+    """Exact determinants of a (k, n, n) stack: int64 Bareiss for unit-diagonal
+    stacks up to BATCH_LIMIT, the multi-modular kernel for every other stack."""
+    unit = (np.diagonal(mats, axis1=1, axis2=2) == 1).all()
+    kernel = _bareiss_batch if unit and mats.shape[1] <= BATCH_LIMIT else _modular_dets
     return kernel(mats).tolist()
 
 
@@ -232,16 +234,28 @@ class TestDetExact:
 
 
 class TestBareissBatch:
+    """Batched determinants up to BATCH_LIMIT: unit-diagonal skew-type stacks,
+    the only ones _block_stats sends to _bareiss_batch, and every other stack
+    through _modular_dets, whose zero pivots (every zero-diagonal matrix has
+    one at step 0) take a later row added."""
+
     @pytest.mark.parametrize("convention", ["zero", "unit"])
     @pytest.mark.parametrize("n", range(1, 17))
     def test_random_blocks_match_per_matrix(self, n, convention):
         mats = _matrices(n, random_signs(n, 40, key=n), convention)
-        assert _bareiss_batch(mats).tolist() == per_matrix_dets(mats)
+        kernel = _bareiss_batch if convention == "unit" else _modular_dets
+        assert kernel(mats).tolist() == per_matrix_dets(mats)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_unit_pivots_are_positive(self, n):
+        # _bareiss_batch's pivots are the leading minors det(I + S_c) >= 1
+        for mat in _matrices(n, random_signs(n, 20, key=[n, 15]), "unit"):
+            assert all(_bareiss(mat[:c, :c].tolist()) >= 1 for c in range(1, n + 1))
 
     def test_odd_zero_diagonal_is_singular(self):
         for n in range(3, 17, 2):
             mats = _matrices(n, random_signs(n, 20, key=100 + n), "zero")
-            assert _bareiss_batch(mats).tolist() == per_matrix_dets(mats) == [0] * 20
+            assert _modular_dets(mats).tolist() == per_matrix_dets(mats) == [0] * 20
 
     @pytest.mark.parametrize("n", [2, 5, 9, 16])
     def test_singular_unit_matrices(self, n):
@@ -252,29 +266,36 @@ class TestBareissBatch:
         zero_column = mats.copy()
         zero_column[:, :, n // 2] = 0
         for block in (equal_rows, zero_column):
-            assert _bareiss_batch(block).tolist() == per_matrix_dets(block) == [0] * 20
+            assert _modular_dets(block).tolist() == per_matrix_dets(block) == [0] * 20
 
     def test_mixed_dead_and_live_matrices(self):
         mats = _matrices(8, random_signs(8, 30, key=300), "unit")
         mats[::3, :, 4] = 0
-        dets = _bareiss_batch(mats).tolist()
+        dets = _modular_dets(mats).tolist()
         assert dets == per_matrix_dets(mats)
         assert dets[::3] == [0] * 10 and all(dets[1::3])
 
     def test_largest_magnitudes_at_n16(self):
-        # search witnesses and the skew-Hadamard matrix (|det| = 16^8 = 2^32),
-        # each under row permutations that reorder the pivots
-        bases = [
+        # search witnesses and the skew-Hadamard matrix (|det| = 16^8 = 2^32):
+        # the unit-diagonal ones under symmetric permutations P A P^T, which
+        # keep the unit diagonal and reorder the pivots, through _bareiss_batch;
+        # the zero-diagonal one under row permutations through _modular_dets
+        zero, unit = (
             np.array(search_high_det(16, budget=300, seed=1, convention=conv).matrix.to_rows(),
                      dtype=np.int8)
             for conv in ("zero", "unit")
-        ]
+        )
         hadamard = skew_hadamard_16()
         assert abs(_bareiss(hadamard.tolist())) == 16**8
         rng = np.random.Generator(np.random.Philox(key=400))
-        for base in bases + [hadamard]:
-            mats = np.stack([base] + [base[rng.permutation(16)] for _ in range(30)])
-            dets = _bareiss_batch(mats).tolist()
+        for base in (zero, unit, hadamard):
+            perms = [rng.permutation(16) for _ in range(30)]
+            if base is zero:
+                kernel, mats = _modular_dets, [base[p] for p in perms]
+            else:
+                kernel, mats = _bareiss_batch, [base[p][:, p] for p in perms]
+            mats = np.stack([base] + mats)
+            dets = kernel(mats).tolist()
             assert dets == per_matrix_dets(mats)
             assert {abs(d) for d in dets} == {abs(dets[0])}
 
@@ -568,6 +589,51 @@ class TestPfaffians:
         finally:
             tracemalloc.stop()
         assert peak < 1.98 * 2**20
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("this call needs no draw and no elimination")
+
+
+class TestUpFrontChecks:
+    """Work that the inputs alone decide is not done: a bad convention is
+    rejected before any sign is drawn, and a singular ensemble (zero diagonal,
+    odd n) is neither drawn nor walked."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: mc_stats(10, 100, convention="bogus"),
+        lambda: enumerate_stats(4, "bogus"),
+        lambda: search_high_det(6, 50, convention="bogus"),
+    ], ids=["mc", "enum", "search"])
+    def test_unknown_convention_rejected_before_drawing(self, monkeypatch, call):
+        for name in ("_mc_chunk", "_enum_chunk", "_matrices", "_block_stats"):
+            monkeypatch.setattr(skewdet, name, unreachable)
+        monkeypatch.setattr(np.random, "Philox", unreachable)
+        with pytest.raises(ValueError, match="convention must be one of"):
+            call()
+
+    @pytest.mark.parametrize("n", [3, 15, 79])
+    def test_singular_mc_draws_nothing(self, monkeypatch, n):
+        monkeypatch.setattr(skewdet, "_mc_chunk", unreachable)
+        assert mc_stats(n, 1000, seed=6) == DetStats(
+            n=n, mode="monte-carlo", convention="zero", count=1000, s1=0.0, s2=0.0,
+            sum_absdet=0, sum_det2=0, max_abs_det=0, stderr_s1=0.0, stderr_s2=0.0, seed=6,
+        )
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_singular_enumeration_walks_nothing(self, monkeypatch, n):
+        monkeypatch.setattr(skewdet, "_enum_chunk", unreachable)
+        assert enumerate_stats(n) == DetStats(
+            n=n, mode="exact", convention="zero", count=1 << (n * (n - 1) // 2), s1=0.0,
+            s2=0.0, sum_absdet=0, sum_det2=0, max_abs_det=0,
+        )
+
+    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("csv", "csv"), ("human", "txt")])
+    def test_singular_enumeration_keeps_its_golden(self, monkeypatch, capsys, fmt, ext):
+        monkeypatch.setattr(skewdet, "_enum_chunk", unreachable)
+        assert cli.main(["skewdet", "enum", "--n", "3", "--format", fmt]) == 0
+        golden = Path(__file__).parent / "golden" / f"skewdet-enum-odd.{ext}"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 class TestEnumeration:
@@ -906,7 +972,7 @@ class TestFlipUpdates:
         # an even-n zero-diagonal det is Pf^2 with Pf a sum of (n-1)!! terms +-1
         # (odd), and a unit-diagonal det is prod(1 + mu^2) >= 1
         signs = random_signs(n, 64, [n, 13])
-        zero = _bareiss_batch(_matrices(n, signs, "zero"))
+        zero = _modular_dets(_matrices(n, signs, "zero"))
         unit = _bareiss_batch(_matrices(n, signs, "unit"))
         assert (unit >= 1).all()
         assert (zero == 0).all() if n % 2 else (zero % 2 == 1).all()
