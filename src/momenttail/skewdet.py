@@ -17,10 +17,11 @@ diagonal, fraction-free (Bareiss) elimination runs in int64 with no row swaps
 for n <= 16, every pivot being a leading minor det(I + S) >= 1, and above that
 det mod the primes.  The modular kernels are division-free in float64, fix a
 pivot that is 0 mod p by adding a later row, which keeps det and Pf, and the
-CRT rebuilds the exact integer.  Exact enumeration walks one matrix per class
-of conjugation by diagonal +-1 matrices, which leaves det unchanged, so it
-computes 2^((n-1)(n-2)/2) determinants instead of 2^(n(n-1)/2) and reaches n = 8
-in seconds.
+CRT rebuilds the exact integer.  Only the scalar reference det_exact
+(_bareiss) still swaps rows and tracks a sign.  Exact enumeration walks one
+matrix per class of conjugation by diagonal +-1 matrices, which leaves det
+unchanged, so it computes 2^((n-1)(n-2)/2) determinants instead of
+2^(n(n-1)/2) and reaches n = 8 in seconds.
 
 Witness search flips one sign pair at a time.  Each climb keeps det A and the
 exact adjugate adj A of its current matrix, from one fraction-free
@@ -546,8 +547,8 @@ def _block_stats(n: int, signs: np.ndarray, convention: str) -> tuple[int, int, 
 
 
 def _reduce(parts: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
-    """Combine per-chunk _block_stats results (no part: all zeros)."""
-    sum_abs, sum_d2, sum_d4, max_abs = zip((0, 0, 0, 0), *parts)
+    """Combine per-chunk _block_stats results."""
+    sum_abs, sum_d2, sum_d4, max_abs = zip(*parts)
     return sum(sum_abs), sum(sum_d2), sum(sum_d4), max(max_abs)
 
 
@@ -628,8 +629,8 @@ def enumerate_stats(n: int, convention: str = "zero") -> DetStats:
     # Conjugating by diag(+-1) maps a_ij to d_i d_j a_ij: it keeps det and the
     # diagonal, and its 2^(n-1) distinct actions (d and -d act alike) meet each
     # class once with all first-row signs +1.  So walk those representatives
-    # and weight each by 2^(n-1).  A singular ensemble needs no walk.
-    classes = 0 if _all_singular(n, convention) else 1 << (m - n + 1)
+    # and weight each by 2^(n-1).
+    classes = 1 << (m - n + 1)
     sum_abs, sum_d2, _, max_abs = _reduce([
         _enum_chunk(n, start, min(start + MC_CHUNK, classes), convention)
         for start in range(0, classes, MC_CHUNK)
@@ -680,7 +681,6 @@ def mc_stats(
     Sampling is split into fixed chunks with per-chunk counter-based
     substreams keyed by (seed, chunk index) and exact integer accumulators.
     threads is validated but does not change the result or the schedule.
-    A singular ensemble draws nothing.
     """
     _require_convention(convention)
     if n < 1:
@@ -694,10 +694,9 @@ def mc_stats(
     # too short to overlap, so a second thread never paid (with Bareiss,
     # mc_stats(10, 20000), 2 CPUs: 0.097-0.100 s at 1 thread, 0.098-0.103 s
     # at 2)
-    drawn = 0 if _all_singular(n, convention) else samples
     sum_abs, sum_d2, sum_d4, max_abs = _reduce([
         _mc_chunk(n, seed, i, min(MC_CHUNK, samples - start), convention)
-        for i, start in enumerate(range(0, drawn, MC_CHUNK))
+        for i, start in enumerate(range(0, samples, MC_CHUNK))
     ])
 
     N = samples

@@ -3,12 +3,11 @@
 import math
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momenttail import cli, skewdet
+from momenttail import skewdet
 from momenttail.moments import TheoremViolationError
 from momenttail.numutil import log_factorial, to_json
 from momenttail.skewdet import (
@@ -57,6 +56,10 @@ def all_plus(n, convention="zero"):
 def random_signs(n, k, key):
     rng = np.random.Generator(np.random.Philox(key=key))
     return rng.integers(0, 2, size=(k, n * (n - 1) // 2), dtype=np.int8) * 2 - 1
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("these inputs decide the result without this call")
 
 
 def per_matrix_dets(mats):
@@ -559,9 +562,6 @@ class TestPfaffians:
         )
 
     def test_odd_zero_diagonal_builds_nothing(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("odd zero-diagonal blocks need no elimination")
-
         for name in ("_matrices", "_pfaffians", "_bareiss_batch", "_modular_dets"):
             monkeypatch.setattr(skewdet, name, unreachable)
         for n in (1, 3, 15, 17, 79):
@@ -591,14 +591,8 @@ class TestPfaffians:
         assert peak < 1.98 * 2**20
 
 
-def unreachable(*args, **kwargs):
-    raise AssertionError("this call needs no draw and no elimination")
-
-
 class TestUpFrontChecks:
-    """Work that the inputs alone decide is not done: a bad convention is
-    rejected before any sign is drawn, and a singular ensemble (zero diagonal,
-    odd n) is neither drawn nor walked."""
+    """A bad convention is rejected before any sign is drawn."""
 
     @pytest.mark.parametrize("call", [
         lambda: mc_stats(10, 100, convention="bogus"),
@@ -611,29 +605,6 @@ class TestUpFrontChecks:
         monkeypatch.setattr(np.random, "Philox", unreachable)
         with pytest.raises(ValueError, match="convention must be one of"):
             call()
-
-    @pytest.mark.parametrize("n", [3, 15, 79])
-    def test_singular_mc_draws_nothing(self, monkeypatch, n):
-        monkeypatch.setattr(skewdet, "_mc_chunk", unreachable)
-        assert mc_stats(n, 1000, seed=6) == DetStats(
-            n=n, mode="monte-carlo", convention="zero", count=1000, s1=0.0, s2=0.0,
-            sum_absdet=0, sum_det2=0, max_abs_det=0, stderr_s1=0.0, stderr_s2=0.0, seed=6,
-        )
-
-    @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_singular_enumeration_walks_nothing(self, monkeypatch, n):
-        monkeypatch.setattr(skewdet, "_enum_chunk", unreachable)
-        assert enumerate_stats(n) == DetStats(
-            n=n, mode="exact", convention="zero", count=1 << (n * (n - 1) // 2), s1=0.0,
-            s2=0.0, sum_absdet=0, sum_det2=0, max_abs_det=0,
-        )
-
-    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("csv", "csv"), ("human", "txt")])
-    def test_singular_enumeration_keeps_its_golden(self, monkeypatch, capsys, fmt, ext):
-        monkeypatch.setattr(skewdet, "_enum_chunk", unreachable)
-        assert cli.main(["skewdet", "enum", "--n", "3", "--format", fmt]) == 0
-        golden = Path(__file__).parent / "golden" / f"skewdet-enum-odd.{ext}"
-        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 class TestEnumeration:
