@@ -27,6 +27,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import mul
@@ -40,6 +41,9 @@ from .numutil import compensated_sum
 NORM_TOL = 1e-12
 #: tolerance for inequality checks on normalized quantities
 CHECK_TOL = 1e-9
+#: relative distance, on the scale of a, within which the float a and tails
+#: must meet their exact values when a check misses (see _ExactCheck)
+ROUNDING = 2.0**-50
 
 # smallest positive normal float64; a product below it keeps fewer bits
 _TINY = np.finfo(np.float64).tiny
@@ -344,10 +348,16 @@ def check_tail_inequality(
     and (2) for every grid point 0 <= b < a the tail second moment above b is
     at least a - b.  A violation raises TheoremViolationError: on finite
     support these are theorems, so failure means a bug.
+
+    The float checks compare a, the tails and the maximum, each rounded, and
+    the mean is 1 only up to the rounding of normalization, so with a far
+    above 1 an absolute CHECK_TOL can miss by a rounding error.  A miss is
+    settled exactly by _ExactCheck, and raises only if that fails too.
     """
     a = moment(dist, 2)
     max_value = dist.max_value
     degenerate = a <= 1.0 + NORM_TOL
+    exact = _ExactCheck(dist, a)
 
     checks = []
     for b, tail_sum in zip(b_grid, _tail_sums(dist, b_grid)):
@@ -355,17 +365,62 @@ def check_tail_inequality(
         lower = a - b
         holds = tail >= lower - CHECK_TOL
         if b < a and not holds:
-            raise TheoremViolationError(
-                f"tail({b}) = {tail} < a - b = {lower} on finite support"
-            )
+            holds = exact.tail_holds(b, tail)
+            if not holds:
+                raise TheoremViolationError(
+                    f"tail({b}) = {tail} < a - b = {lower} on finite support"
+                )
         checks.append(TailCheck(b=b, tail=tail, lower_bound=lower, holds=holds))
 
-    if not degenerate and max_value < a - CHECK_TOL:
+    if not degenerate and max_value < a - CHECK_TOL and not exact.max_holds():
         raise TheoremViolationError(f"max {max_value} < second moment {a}")
 
     return TheoremReport(
         a=a, max_value=max_value, degenerate=degenerate, checks=tuple(checks)
     )
+
+
+class _ExactCheck:
+    """Settles a float miss of check_tail_inequality in exact Fractions over
+    the entries.  With W = sum w, S1 = sum w v and S2 = sum w v^2, the exact
+    second moment A = S2 / W, the actual mean m = S1 / W and the tail
+    T_b = (sum of w v^2 over v > b) / W satisfy, for every b >= 0:
+
+    - T_b >= A - b m, as v^2 <= b v wherever v <= b;
+    - max m >= A, as v^2 <= max v.
+
+    The miss is rounding when these hold and the float a and tail are within
+    ROUNDING * A of A and T_b: each is a few correctly rounded operations on
+    non-negative terms, at most about 5 * 2^-53 * A off.  A float farther off
+    (a wrong tail sum, say) fails the check.  The sums are built on the first
+    call, so a check that passes in floats costs nothing here.
+    """
+
+    def __init__(self, dist: EmpiricalDistribution, a: float):
+        self.dist = dist
+        self.a = a
+
+    @cached_property
+    def _sums(self) -> tuple[list[Fraction], list[Fraction], Fraction, Fraction, Fraction]:
+        """(v, w v^2) per entry, W, m and A."""
+        values = list(map(Fraction, self.dist.values.tolist()))
+        weights = list(map(Fraction, self.dist.weights.tolist()))
+        products = list(map(mul, weights, values))
+        squares = list(map(mul, products, values))
+        total = sum(weights)
+        return values, squares, total, sum(products) / total, sum(squares) / total
+
+    def _near(self, x: float, exact: Fraction) -> bool:
+        return abs(Fraction(x) - exact) <= ROUNDING * self._sums[4]
+
+    def tail_holds(self, b: float, tail: float) -> bool:
+        values, squares, total, mean, a = self._sums
+        exact = sum(sq for v, sq in zip(values, squares) if v > b) / total
+        return exact >= a - Fraction(b) * mean and self._near(tail, exact) and self._near(self.a, a)
+
+    def max_holds(self) -> bool:
+        _, _, _, mean, a = self._sums
+        return Fraction(self.dist.max_value) * mean >= a and self._near(self.a, a)
 
 
 def max_lower_bound(m1: float, m2: float) -> float:

@@ -23,13 +23,18 @@ matrix per class of conjugation by diagonal +-1 matrices, which leaves det
 unchanged, so it computes 2^((n-1)(n-2)/2) determinants instead of
 2^(n(n-1)/2) and reaches n = 8 in seconds.
 
-Witness search flips one sign pair at a time.  Each climb keeps det A and the
-exact adjugate adj A of its current matrix, from one fraction-free
-Gauss-Jordan elimination at its start, which fixes a zero pivot the same way
-as the modular kernels; a flip changes two entries, so the matrix determinant
-lemma gives every flipped determinant exactly in O(1) integer operations, and
-an accepted flip updates adj A in O(n^2).  The only singular matrices (zero
-diagonal, odd n) need no climb: every determinant there is 0.
+Witness search flips one sign pair at a time and keeps the first flip that
+raises |det|.  With zero diagonal and even n each climb keeps P = Pf A and the
+skew cofactor matrix C = P A^-1, whose entries are signed Pfaffians of order
+n - 2.  Pf is affine in each sign pair, so one numpy expression scores every
+flip of a sweep, and an accepted flip updates C in O(n^2) by an exact
+division.  Up to n = 26 the state is int64 and one batched Pfaffian call
+gives C at the start; past it the state is Python ints and C comes from one
+fraction-free elimination of A with its columns swapped in pairs.  With unit
+diagonal each climb keeps det A and adj A from one fraction-free Gauss-Jordan
+elimination, whose pivots are leading minors >= 1, and the matrix
+determinant lemma gives each flipped determinant in O(1).  The only singular
+matrices (zero diagonal, odd n) need no climb: every determinant there is 0.
 """
 
 import math
@@ -131,14 +136,21 @@ def _bareiss(rows: list[list[int]]) -> int:
 
 
 def _adjugate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(det A, adj A) of a non-singular integer matrix, by fraction-free
-    Gauss-Jordan elimination on [A | I]; every division below is exact.
+    """(det A, adj A) of an integer matrix whose leading principal minors are
+    all non-zero, by fraction-free Gauss-Jordan elimination on [A | I] with no
+    row swaps; every division below is exact.
 
-    A zero pivot takes the first later row with a non-zero entry in its column
-    added; rows at or below k are one linear map of their rows of [A | I], so
-    this eliminates [E A | E], E unimodular.  The last step leaves p I, p =
-    det A the last pivot, and p (E A)^-1 E = adj A, all minors of [E A | E]
-    (Bareiss 1968).  Step k reads nothing left of column k, so rows drop it.
+    The pivot at step k is the leading minor of order k + 1.  Search sends two
+    kinds of matrix, where none is 0: unit-diagonal +-1 skew-type ones
+    (A + A^T = 2I), whose leading minors are det(I + S_k) >= 1 with S_k skew
+    (see _bareiss_batch); and, past CLIMB_LIMIT, zero-diagonal +-1 skew ones
+    of even order with columns 2k and 2k + 1 swapped for every k, whose
+    leading minors of order 2k and 2k + 1 are +-Pf(A_2k)^2 and
+    +-Pf(A_2k) Pf(A_(2k+2)), A_r the leading block of order r, and every
+    such Pfaffian is odd.  So a zero pivot means the precondition was broken
+    and raises ValueError.  The last step leaves p I, p = det A the last
+    pivot, and p A^-1 = adj A, all minors of [A | I] (Bareiss 1968).  Step k
+    reads nothing left of column k, so rows drop it.
     """
     n = len(rows)
     a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
@@ -146,10 +158,7 @@ def _adjugate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
     for k in range(n):
         # a[i][0] is column k of row i
         if a[k][0] == 0:
-            t = next((i for i in range(k + 1, n) if a[i][0] != 0), None)
-            if t is None:
-                raise ValueError("matrix is singular")
-            a[k] = [x + y for x, y in zip(a[k], a[t])]
+            raise ValueError(f"zero pivot at step {k}: a leading minor of the matrix is 0")
         pivot = a[k][0]
         row_k = a[k][1:]
         for i in range(n):
@@ -166,11 +175,13 @@ def _adjugate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
 # U = [e_i, e_j] and W = [-2s e_j^T; 2s e_i^T].  With D = det A != 0 and
 # B = adj A = D A^-1, the matrix determinant lemma gives
 # D det A' = det C, C = D I_2 + W B U, a polynomial identity, so both exact
-# integer divisions below are exact.
+# integer divisions below are exact.  Only the unit-diagonal climb uses these;
+# the zero-diagonal one flips Pfaffians (_pfaffian_flip).
 
 
 def _flip_det(det: int, adj: list[list[int]], i: int, j: int, s: int) -> int:
-    """det A' of the flip at (i, j) from det A != 0 and adj A, in O(1)."""
+    """det A' of the flip at (i, j) from det A != 0 and adj A of a
+    unit-diagonal matrix, in O(1)."""
     t = 2 * s
     return ((det - t * adj[j][i]) * (det + t * adj[i][j]) + 4 * adj[i][i] * adj[j][j]) // det
 
@@ -178,7 +189,7 @@ def _flip_det(det: int, adj: list[list[int]], i: int, j: int, s: int) -> int:
 def _flip_adjugate(
     det: int, new_det: int, adj: list[list[int]], i: int, j: int, s: int
 ) -> list[list[int]]:
-    """adj A' of the flip at (i, j), in O(n^2).
+    """adj A' of the flip at (i, j) of a unit-diagonal matrix, in O(n^2).
 
     Sherman-Morrison-Woodbury: adj A' = (D D' B - (B U) adj(C) (W B)) / D^2,
     with D' = det A'.
@@ -794,6 +805,134 @@ class SearchResult:
     ratio_to_s1_asym: float | None
 
 
+# The zero-diagonal climb at even n keeps P = Pf A and the skew cofactor matrix
+# C = P A^-1, so adj A = P C.  For i < j, C_ij = (-1)^(i+j) Pf(A_ij), A_ij being
+# A with rows and columns i, j deleted, and Pf A = -sum_j a_0j C_0j along row 0.
+# Pf A is affine in the pair a_ij = -a_ji with slope -C_ij, so the flip of slot
+# (i, j) with sign s = a_ij gives P' = P + 2 s C_ij, and |det| rises exactly
+# when |Pf| does.  For the flip A' = A + U W (see _flip_det), I + W A^-1 U is
+# (P'/P) I_2, so Sherman-Morrison-Woodbury gives
+# P C' = P' C + 2 s (C[:, i] C[j, :] - C[:, j] C[i, :]), outer products,
+# an exact integer division.
+#
+# Largest n for which that climb runs in int64.  By Hadamard a Pfaffian of
+# order r is at most (r-1)^(r/4), so |C| <= B = (n-3)^((n-2)/4) and
+# |P'| <= (n-1)^(n/4); every partial sum of the numerator is at most
+# |P'| B + 4 B^2 = 25^6.5 * 23^6 + 4 * 23^12 < 2^59 at n = 26, whereas
+# |P'| B alone may reach 27^7 * 25^6.5 > 2^63 at n = 28.  Past it the same
+# climb runs on object arrays of Python ints.
+CLIMB_LIMIT = 26
+
+
+@cache
+def _minor_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each slot (i, j) of order n, the slots of A that hold the packed
+    triangle of A_ij, one (m, m') row each, and whether i + j is odd.
+
+    Deleting rows and columns i, j keeps the order of the rest: position a
+    of A_ij is index a + [a >= i] + [a >= j - 1] of A."""
+    iu, ju = _triangle(n)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[iu, ju] = np.arange(len(iu))
+    a = np.arange(n - 2)
+    kept = a + (a >= iu[:, None]) + (a >= ju[:, None] - 1)
+    ru, rv = _triangle(n - 2)
+    return index[kept[:, ru], kept[:, rv]], (iu + ju) % 2 == 1
+
+
+def _pfaffian_start(n: int, signs: np.ndarray) -> tuple[int, np.ndarray]:
+    """(Pf A, C = Pf(A) A^-1) of the zero-diagonal matrix A of a packed sign
+    vector, n even: an (n, n) int64 array up to CLIMB_LIMIT, an object array
+    of Python ints past it.
+
+    Up to CLIMB_LIMIT the m minors come from one batched _pfaffians call.
+    Past it they would cost O(n^5), 7.8 s at n = 80, so C = adj(A) / Pf A
+    comes from _adjugate of A Q, A with columns 2k and 2k + 1 swapped for
+    every k: adj A = det(Q) Q adj(A Q), where det Q = (-1)^(n/2) and Q adj(A Q)
+    is adj(A Q) with its rows swapped in the same pairs."""
+    if n > CLIMB_LIMIT:
+        pairs = np.arange(n) ^ 1
+        rows = _matrices(n, signs[None], "zero")[0]
+        adj = np.array(_adjugate(rows[:, pairs].tolist())[1], dtype=object)[pairs]
+        pf = int(_pfaffians(n, signs[None])[0])
+        return pf, adj // (-pf if n % 4 else pf)
+    slots, odd = _minor_slots(n)
+    # at n = 2 the one minor is the empty matrix, whose Pfaffian is 1
+    minors = _pfaffians(n - 2, signs[slots]) if n > 2 else np.ones(1, dtype=np.int64)
+    upper = np.where(odd, -minors, minors)
+    iu, ju = _triangle(n)
+    cof = np.zeros((n, n), dtype=np.int64)
+    cof[iu, ju] = upper
+    cof[ju, iu] = -upper
+    # row 0 is slots 0..n-2
+    return -sum(map(mul, signs[: n - 1].tolist(), upper[: n - 1].tolist())), cof
+
+
+def _pfaffian_flip(pf: int, new_pf: int, cof: np.ndarray, i: int, j: int, s: int) -> np.ndarray:
+    """C' of the flip at (i, j) with sign s = a_ij, from Pf A, Pf A' and C,
+    in C's dtype."""
+    out = cof[:, i, None] * cof[j]
+    out -= cof[:, j, None] * cof[i]
+    out *= 2 * s
+    out += new_pf * cof
+    out //= pf
+    return out
+
+
+def _pfaffian_climb(n: int, signs: np.ndarray, evals: int, budget: int):
+    """One zero-diagonal climb at even n from a packed sign vector: (|det| of
+    its last matrix, that matrix's signs, evaluations so far)."""
+    iu, ju = _triangle(n)
+    flat = iu * n + ju
+    pf, cof = _pfaffian_start(n, signs)
+    signs = signs.astype(np.int64)
+    evals += 1
+    while evals < budget:
+        # the flips of this sweep that the budget leaves, scored at once
+        todo = min(len(flat), budget - evals)
+        flips = cof.take(flat[:todo])
+        flips *= 2 * signs[:todo]
+        flips += pf
+        better = np.abs(flips) > abs(pf)
+        t = int(better.argmax())
+        if not better[t]:
+            evals += todo
+            break
+        # first improvement: keep the flip and restart the sweep
+        evals += t + 1
+        s = int(signs[t])
+        new_pf = int(flips[t])
+        cof = _pfaffian_flip(pf, new_pf, cof, int(iu[t]), int(ju[t]), s)
+        signs[t] = -s
+        pf = new_pf
+    return pf * pf, tuple(signs.tolist()), evals
+
+
+def _adjugate_climb(n: int, signs: np.ndarray, evals: int, budget: int):
+    """One unit-diagonal climb, the same contract as _pfaffian_climb."""
+    rows = _matrices(n, signs[None], "unit")[0].tolist()
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    det, adj = _adjugate(rows)
+    evals += 1
+    improved = True
+    while improved and evals < budget:
+        improved = False
+        for i, j in slots:
+            if evals >= budget:
+                break
+            s = rows[i][j]
+            d = _flip_det(det, adj, i, j, s)
+            evals += 1
+            if abs(d) > abs(det):
+                # first improvement: keep the flip and restart the sweep
+                rows[i][j], rows[j][i] = -s, s
+                adj = _flip_adjugate(det, d, adj, i, j, s)
+                det = d
+                improved = True
+                break
+    return abs(det), tuple(rows[i][j] for i, j in slots), evals
+
+
 def search_high_det(
     n: int, budget: int, seed: int = 0, convention: str = "zero"
 ) -> SearchResult:
@@ -802,14 +941,14 @@ def search_high_det(
     budget counts determinant evaluations.  The trajectory depends only on
     (n, seed, convention), so the best value is non-decreasing in budget.
 
-    Each climb keeps det A and adj A of its current matrix A: a flip changes
-    two entries, so _flip_det gives the flipped determinant exactly in O(1),
-    and _flip_adjugate updates adj A in O(n^2) when the flip is accepted.
-    The only singular matrices are those with zero diagonal and odd n: for
-    even n det = Pf^2 and the Pfaffian is a sum of an odd number of +-1
-    terms, and det(I + S) >= 1 for skew S.  With odd n and zero diagonal
-    every evaluation gives 0, so the result (the first start matrix, |det| 0,
-    budget evaluations) is returned without climbing.
+    Each climb keeps an exact state of its current matrix A from which every
+    flip, a change of two entries, is scored exactly: Pf A and its cofactor
+    matrix for zero diagonal (_pfaffian_climb), det A and adj A for unit
+    diagonal (_adjugate_climb).  The only singular matrices are those with
+    zero diagonal and odd n: for even n det = Pf^2 and the Pfaffian is a sum
+    of an odd number of +-1 terms, and det(I + S) >= 1 for skew S.  With odd
+    n and zero diagonal every evaluation gives 0, so the result (the first
+    start matrix, |det| 0, budget evaluations) is returned without climbing.
     """
     _require_convention(convention)
     if n < 2:
@@ -820,7 +959,7 @@ def search_high_det(
         raise ValueError("budget must be at least 1")
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = n * (n - 1) // 2
 
     best_upper = ()
     best_det = -1
@@ -828,33 +967,16 @@ def search_high_det(
     if _all_singular(n, convention):
         # every matrix is singular: the first start stays best, and the climb
         # only spends the budget on zeros
-        signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
+        signs = rng.integers(0, 2, size=(1, m), dtype=np.int8) * 2 - 1
         best_upper, best_det, evals = tuple(signs[0].tolist()), 0, budget
 
+    climb = _pfaffian_climb if convention == "zero" else _adjugate_climb
     while evals < budget:
-        signs = rng.integers(0, 2, size=(1, len(slots)), dtype=np.int8) * 2 - 1
-        rows = _matrices(n, signs, convention)[0].tolist()
-        det, adj = _adjugate(rows)
-        evals += 1
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for i, j in slots:
-                if evals >= budget:
-                    break
-                s = rows[i][j]
-                d = _flip_det(det, adj, i, j, s)
-                evals += 1
-                if abs(d) > abs(det):
-                    # first improvement: keep the flip and restart the sweep
-                    rows[i][j], rows[j][i] = -s, s
-                    adj = _flip_adjugate(det, d, adj, i, j, s)
-                    det = d
-                    improved = True
-                    break
+        signs = rng.integers(0, 2, size=(1, m), dtype=np.int8) * 2 - 1
+        abs_det, upper, evals = climb(n, signs[0], evals, budget)
         # |det| only rises along a climb, so its last matrix is its best
-        if abs(det) > best_det:
-            best_det, best_upper = abs(det), tuple(rows[i][j] for i, j in slots)
+        if abs_det > best_det:
+            best_det, best_upper = abs_det, upper
 
     # log 0 = -inf gives ratio 0.0
     best = LogReal(math.log(best_det) if best_det else -math.inf)

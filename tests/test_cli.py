@@ -120,6 +120,17 @@ class TestTheoremCheck:
         payload = json.loads(out)
         assert (payload["a"], payload["max"], payload["degenerate"]) == (1.0, 1.0, True)
 
+    @pytest.mark.parametrize("value", ["1.109375", "1"])
+    @pytest.mark.parametrize("cutoffs", [[], ["--b", "0.0"]])
+    def test_rounding_miss_exits_0(self, capsys, tmp_path, value, cutoffs):
+        # a tiny far atom: the float checks miss a by rounding, the exact ones hold
+        path = tmp_path / "far.csv"
+        path.write_text(f"value,weight\n0,286\n{value},1e-06\n", encoding="utf-8")
+        argv = ["theorem", "check", "--input", str(path), *cutoffs, "--assert"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert all(check["holds"] for check in json.loads(out)["checks"])
+
     def test_violation_maps_to_exit_1(self, capsys, dist_csv, monkeypatch):
         def boom(dist, grid):
             raise TheoremViolationError("forced")

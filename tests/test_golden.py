@@ -80,6 +80,10 @@ CASES = {
                          "--convention", "unit"], True),
     "skewdet-search": (["skewdet", "search", "--n", "8", "--budget", "300",
                         "--seed", "1"], True),
+    "skewdet-search-n16": (["skewdet", "search", "--n", "16", "--budget", "500",
+                            "--seed", "7"], True),
+    "skewdet-search-n32": (["skewdet", "search", "--n", "32", "--budget", "300",
+                            "--seed", "7"], True),
     "skewdet-search-unit": (["skewdet", "search", "--n", "12", "--budget", "600",
                              "--seed", "2", "--convention", "unit"], True),
     "skewdet-search-odd": (["skewdet", "search", "--n", "5", "--budget", "100",

@@ -211,6 +211,30 @@ class TestVerifyTheorem:
         assert set(payload) == {"a", "max", "degenerate", "checks"}
         assert set(payload["checks"][0]) == {"b", "tail", "bound", "holds"}
 
+    @pytest.mark.parametrize("value, missed", [(1.109375, "max"), (1.0, "tail")])
+    def test_rounding_miss_is_settled_exactly(self, value, missed):
+        # a tiny atom far out: a is about 2.86e8, and one float check falls
+        # short of it by a rounding error above CHECK_TOL
+        d = normalize(dist((0.0, 286.0), (value, 1e-06)))
+        report = moments.check_tail_inequality(d, [0.0])
+        (check,) = report.checks
+        short = {"max": report.max_value < report.a - moments.CHECK_TOL,
+                 "tail": check.tail < check.lower_bound - moments.CHECK_TOL}
+        assert [name for name, miss in short.items() if miss] == [missed]
+        assert check.holds
+
+    def test_corrupted_tail_sum_still_raises(self, monkeypatch):
+        # the exact check also holds the float tail to its exact value
+        tail_sums = moments._tail_sums
+        monkeypatch.setattr(moments, "_tail_sums", lambda d, grid: [t / 2 for t in tail_sums(d, grid)])
+        with pytest.raises(moments.TheoremViolationError, match="tail"):
+            verify_theorem(TWO_POINT, [0.5])
+
+    def test_corrupted_second_moment_still_raises(self, monkeypatch):
+        monkeypatch.setattr(moments, "moment", lambda d, k: 3.0)
+        with pytest.raises(moments.TheoremViolationError, match="max"):
+            verify_theorem(TWO_POINT, [])
+
 
 class TestMaxLowerBound:
     def test_unit_mean(self):

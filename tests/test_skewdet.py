@@ -25,6 +25,7 @@ from momenttail.skewdet import (
 )
 from momenttail.skewdet import (
     BATCH_LIMIT,
+    CLIMB_LIMIT,
     MODULAR_PRIMES,
     N_LIMIT,
     PFAFFIAN_LIMIT,
@@ -41,6 +42,8 @@ from momenttail.skewdet import (
     _modular_dets,
     _pf_mod,
     _pfaffian_batch,
+    _pfaffian_flip,
+    _pfaffian_start,
     _pfaffians,
     _row_starts,
 )
@@ -147,6 +150,31 @@ def flipped(rows, i, j):
 
 def times(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def upper_signs(rows):
+    """Packed upper-triangle signs of a matrix given as rows."""
+    iu, ju = np.triu_indices(len(rows), k=1)
+    return np.array(rows, dtype=np.int8)[iu, ju]
+
+
+def pfaffian_state(rows):
+    """(Pf A, C) of a zero-diagonal matrix of even order, as a climb starts."""
+    return _pfaffian_start(len(rows), upper_signs(rows))
+
+
+def start_det_adj(rows, convention):
+    """(det A, adj A) as row lists from the start state of a climb."""
+    if convention == "unit":
+        return _adjugate(rows)
+    pf, cof = pfaffian_state(rows)
+    return pf * pf, (pf * cof).tolist()
+
+
+def assert_same_state(got, want):
+    assert got[0] == want[0]
+    assert got[1].dtype == want[1].dtype
+    assert got[1].tolist() == want[1].tolist()
 
 
 def skew_hadamard_16():
@@ -867,14 +895,17 @@ class TestSearch:
 
 
 class TestFlipUpdates:
-    """The O(1) flip determinant and the O(n^2) adjugate update of search."""
+    """The O(1) flip evaluation and the O(n^2) state update of each climb:
+    det A and adj A for unit diagonal (_adjugate, _flip_det, _flip_adjugate),
+    Pf A and C = Pf(A) A^-1, adj A = Pf(A) C, for zero diagonal and even n
+    (_pfaffian_start, _pfaffian_flip)."""
 
     CASES = [(n, "zero") for n in range(2, 21, 2)] + [(n, "unit") for n in range(2, 21)]
 
     @pytest.mark.parametrize("n, convention", CASES)
     def test_adjugate(self, n, convention):
         for rows in random_rows(n, convention, [n, 7]):
-            det, adj = _adjugate(rows)
+            det, adj = start_det_adj(rows, convention)
             assert det != 0
             identity = [[det * (i == j) for j in range(n)] for i in range(n)]
             assert times(rows, adj) == identity
@@ -895,38 +926,55 @@ class TestFlipUpdates:
                              [(n, "zero") for n in range(2, 33, 2)]
                              + [(n, "unit") for n in range(2, 33)])
     def test_adjugate_det_matches_bareiss(self, n, convention):
-        # search takes its start determinant from _adjugate's last pivot
+        # search takes its start determinant from the start state of a climb
         for rows in random_rows(n, convention, [n, 14]):
-            assert _adjugate(rows)[0] == _bareiss(rows)
+            assert start_det_adj(rows, convention)[0] == _bareiss(rows)
 
     def test_adjugate_rejects_singular(self):
-        with pytest.raises(ValueError, match="singular"):
-            _adjugate(all_plus(5).to_rows())
+        # a zero pivot: every zero-diagonal matrix, singular (odd n) or not
+        for n in (5, 4):
+            with pytest.raises(ValueError, match="zero pivot at step 0"):
+                _adjugate(all_plus(n).to_rows())
 
     @pytest.mark.parametrize("n, convention", CASES)
     def test_every_flip_det_matches_bareiss(self, n, convention):
         for rows in random_rows(n, convention, [n, 9]):
-            det, adj = _adjugate(rows)
+            if convention == "zero":
+                pf, cof = pfaffian_state(rows)
+            else:
+                det, adj = _adjugate(rows)
             for i in range(n):
                 for j in range(i + 1, n):
                     expected = _bareiss(flipped(rows, i, j))
-                    assert _flip_det(det, adj, i, j, rows[i][j]) == expected
+                    if convention == "zero":
+                        assert (pf + 2 * rows[i][j] * int(cof[i, j])) ** 2 == expected
+                    else:
+                        assert _flip_det(det, adj, i, j, rows[i][j]) == expected
 
     @pytest.mark.parametrize("n, convention", CASES)
     def test_flip_adjugate_matches_fresh_adjugate(self, n, convention):
         rows = random_rows(n, convention, [n, 10])[0]
-        det, adj = _adjugate(rows)
+        if convention == "zero":
+            pf, cof = pfaffian_state(rows)
+        else:
+            det, adj = _adjugate(rows)
         for i in range(n):
             for j in range(i + 1, n):
                 new_rows = flipped(rows, i, j)
-                new_det = _bareiss(new_rows)
-                new_adj = _flip_adjugate(det, new_det, adj, i, j, rows[i][j])
-                assert _adjugate(new_rows) == (new_det, new_adj)
+                if convention == "zero":
+                    new_pf = pf + 2 * rows[i][j] * int(cof[i, j])
+                    new_cof = _pfaffian_flip(pf, new_pf, cof, i, j, rows[i][j])
+                    assert_same_state((new_pf, new_cof), pfaffian_state(new_rows))
+                else:
+                    new_det = _bareiss(new_rows)
+                    new_adj = _flip_adjugate(det, new_det, adj, i, j, rows[i][j])
+                    assert _adjugate(new_rows) == (new_det, new_adj)
 
     def test_flip_updates_chain_along_a_climb(self):
-        # many accepted flips in a row keep (det, adj) exact at n = 24
+        # many accepted flips in a row keep (det, adj) exact at n = 24; the
+        # zero-diagonal chains are in TestPfaffianState
         n = 24
-        rows = random_rows(n, "zero", [n, 11])[0]
+        rows = random_rows(n, "unit", [n, 11])[0]
         det, adj = _adjugate(rows)
         rng = np.random.Generator(np.random.Philox(key=[n, 12]))
         for _ in range(40):
@@ -947,6 +995,68 @@ class TestFlipUpdates:
         unit = _bareiss_batch(_matrices(n, signs, "unit"))
         assert (unit >= 1).all()
         assert (zero == 0).all() if n % 2 else (zero % 2 == 1).all()
+
+
+class TestPfaffianState:
+    """The zero-diagonal climb state (Pf A, C = Pf(A) A^-1) against independent
+    Pfaffians and determinants, on both sides of CLIMB_LIMIT."""
+
+    EVEN = range(2, 33, 2)
+
+    @pytest.mark.parametrize("n", EVEN)
+    def test_start_is_pfaffian_and_cofactors(self, n):
+        for rows in random_rows(n, "zero", [n, 15]):
+            pf, cof = pfaffian_state(rows)
+            assert cof.dtype == (np.int64 if n <= CLIMB_LIMIT else object)
+            assert pf == _pfaffians(n, upper_signs(rows)[None])[0]
+            assert pf * pf == _bareiss(rows)
+            # A (P C) = P^2 I fixes P C = adj A, A being invertible
+            identity = [[pf * pf * (i == j) for j in range(n)] for i in range(n)]
+            assert times(rows, (pf * cof).tolist()) == identity
+            assert (cof == -cof.T).all()
+
+    @pytest.mark.parametrize("n", range(2, CLIMB_LIMIT + 1, 2))
+    def test_start_routes_agree(self, monkeypatch, n):
+        # the batched minors against the Python-int route past CLIMB_LIMIT,
+        # _adjugate of A with its columns swapped in pairs
+        for rows in random_rows(n, "zero", [n, 17]):
+            pf, cof = pfaffian_state(rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(skewdet, "CLIMB_LIMIT", 0)
+                got_pf, got_cof = pfaffian_state(rows)
+            assert got_cof.dtype == object
+            assert (got_pf, got_cof.tolist()) == (pf, cof.tolist())
+
+    @pytest.mark.parametrize("n", EVEN)
+    def test_every_flip_is_a_pfaffian(self, n):
+        for rows in random_rows(n, "zero", [n, 16]):
+            pf, cof = pfaffian_state(rows)
+            signs = upper_signs(rows)
+            iu, ju = np.triu_indices(n, k=1)
+            flips = [pf + 2 * s * c for s, c in zip(signs.tolist(), cof[iu, ju].tolist())]
+            block = np.repeat(signs[None], len(signs), axis=0)
+            np.fill_diagonal(block, -signs)
+            assert flips == _pfaffians(n, block).tolist()
+            if n <= 10:
+                assert flips == [pfaffian_exact(SkewSignMatrix(n, tuple(row.tolist())))
+                                 for row in block]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_chain_matches_fresh_start(self, n):
+        # 40 accepted flips in a row, in int64 (n = 16) and in Python ints (32)
+        rows = random_rows(n, "zero", [n, 11])[0]
+        pf, cof = pfaffian_state(rows)
+        rng = np.random.Generator(np.random.Philox(key=[n, 12]))
+        for _ in range(40):
+            i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+            s = rows[i][j]
+            new_pf = pf + 2 * s * int(cof[i, j])
+            cof = _pfaffian_flip(pf, new_pf, cof, i, j, s)
+            rows, pf = flipped(rows, i, j), new_pf
+        assert_same_state((pf, cof), pfaffian_state(rows))
+        if n > CLIMB_LIMIT:
+            # no int64 scalar slipped into the object array, where it could wrap
+            assert {type(x) for x in cof.flat} == {int}
 
 
 class TestSearchMatchesReference:
