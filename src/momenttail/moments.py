@@ -28,7 +28,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from operator import mul
 from typing import IO
@@ -258,13 +258,32 @@ def moment(dist: EmpiricalDistribution, k: int) -> float:
     """k-th moment sum(w * v^k) / sum(w) with compensated summation.
 
     v^k is libm pow per element, as Python's v**k computes it; it is not
-    always bit-equal to v*v or to numpy's power.
+    always bit-equal to v*v or to numpy's power.  Only where v^k overflows is
+    the term formed as (w * v) * v ... instead, as the tail sums form it for
+    k = 2, which is finite for small w; a term past float64 even so raises
+    ValueError.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     # memoryview iterates an array as Python floats without building a list
     powers = map(math.pow, memoryview(dist.values), repeat(float(k)))
-    return compensated_sum(map(mul, memoryview(dist.weights), powers)) / dist.total_weight
+    try:
+        total = compensated_sum(map(mul, memoryview(dist.weights), powers))
+    except OverflowError:
+        entries = zip(dist.values.tolist(), dist.weights.tolist())
+        total = compensated_sum(_moment_term(i, v, w, k) for i, (v, w) in enumerate(entries))
+    return total / dist.total_weight
+
+
+def _moment_term(i: int, v: float, w: float, k: int) -> float:
+    """w * v^k of entry i, as moment forms it."""
+    try:
+        return w * math.pow(v, k)
+    except OverflowError:
+        term = reduce(mul, repeat(v, k), w)  # (w * v) * v ...
+        if term < math.inf:
+            return term
+        raise ValueError(f"entry {i}: weight {w!r} * value {v!r}^{k} is past float64") from None
 
 
 def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:

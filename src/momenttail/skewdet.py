@@ -5,7 +5,8 @@ transpose below.  Two diagonal conventions are supported: "zero" (strictly
 skew-symmetric; even n gives det = Pf^2 >= 0, odd n gives det = 0) and "unit"
 (skew-type, A + A^T = 2I).  All determinants and accumulated statistics are
 exact integers: values grow like n^(n/2), past what float LU can represent
-faithfully, and the mean identities checked downstream are exact.
+faithfully, and the mean identities checked downstream are exact.  Each
+reported mean and standard error is one correctly rounded integer quotient.
 
 Determinants of sign blocks are batched in numpy.  With zero diagonal, odd n
 needs no arithmetic, and even n takes det = Pf^2 from a skew elimination that
@@ -39,7 +40,6 @@ matrices (zero diagonal, odd n) need no climb: every determinant there is 0.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
@@ -228,6 +228,19 @@ BATCH_LIMIT = 16
 BATCH_SIZE = 256
 
 
+def _divide_exact(x: np.ndarray, divisor: np.ndarray, out: np.ndarray | None = None):
+    """x //= divisor in place for an int64 x that divisor divides exactly, at a
+    third of the cost of int64 floor division: a float64 divide, then rint.
+
+    Exact when |divisor| <= 2^53, so float64 holds it, and the quotient q is
+    an integer with |q| < 2^51: x and x / divisor each round with relative
+    error at most 2^-53, so the float quotient is within (2^-52 + 2^-106) |q|
+    < 1/2 of q, and rint gives q.  out, if given, is float64 scratch of x's
+    shape."""
+    quotient = np.divide(x, divisor, out=out)
+    x[...] = np.rint(quotient, out=quotient)
+
+
 def _bareiss_batch(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a (k, n, n) stack of unit-diagonal +-1 skew-type
     matrices (A + A^T = 2I), n <= BATCH_LIMIT.
@@ -245,11 +258,8 @@ def _bareiss_batch(mats: np.ndarray) -> np.ndarray:
         sub *= a[c, c]
         sub -= a[c + 1 :, c, None] * a[c, None, c + 1 :]
         if c:
-            # the exact quotient is an order-(c+2) minor, |q| <= n^(n/2) <= 2^32,
-            # and the float64 quotient is within 2^-52 |q| < 1/2 of it: rounding
-            # gives q exactly, at a third of the cost of int64 floor division
-            quotient = sub / a[c - 1, c - 1]
-            sub[...] = np.rint(quotient, out=quotient)
+            # the quotient and the divisor are minors, at most n^(n/2) <= 2^32
+            _divide_exact(sub, a[c - 1, c - 1])
     return a[n - 1, n - 1]
 
 
@@ -339,11 +349,6 @@ def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
     pivot 0, which zeroes the rest of the block, so the residue is 0.
     """
     n, _, k = a.shape
-    inv_p = 1.0 / p
-
-    def reduce(x):
-        return x - p * np.rint(x * inv_p)
-
     # a2[i, j * k + m] is entry (i, j) of matrix m, so a2[i, j * k :] holds
     # columns j..n-1 of row i of every matrix
     a2 = a.reshape(n, n * k)
@@ -355,10 +360,10 @@ def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
         first = (a[c:, c] != 0).argmax(axis=0)
         fix = np.flatnonzero(first)
         if len(fix):
-            a[c, c:, fix] = reduce(a[c, c:, fix] + a[first[fix] + c, c:, fix])
+            a[c, c:, fix] = _reduce_mod(a[c, c:, fix] + a[first[fix] + c, c:, fix], p)
         pivot = a[c, c]
-        den = reduce(den * prefix)
-        prefix = reduce(prefix * pivot)
+        den = _reduce_mod(den * prefix, p)
+        prefix = _reduce_mod(prefix * pivot, p)
         # every operand below spans whole rows of the block, so each numpy
         # loop runs over r * k contiguous values rather than k
         r = n - 1 - c
@@ -369,18 +374,25 @@ def _det_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
         tiled[:r] = pivot
         sub *= tiled[:r].reshape(r * k)
         sub -= tmp
-        np.multiply(sub, inv_p, out=tmp)
-        np.rint(tmp, out=tmp)
-        tmp *= p
-        sub -= tmp
-    lasts = a[n - 1, n - 1].astype(np.int64).tolist()
-    dens = den.astype(np.int64).tolist()
-    return _divide_mod(lasts, dens, p)
+        _reduce_mod(sub, p, tmp)
+    return _divide_mod(a[n - 1, n - 1], den, p)
 
 
-def _divide_mod(lasts: list[int], dens: list[int], p: int) -> list[int]:
-    """last / den mod p, in [0, p), per matrix.  den is 0 only after a zero
-    pivot, which has made last 0 as well."""
+def _reduce_mod(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """x - p rint(x / p) in place, the residue of x mod p of magnitude at most
+    (p + 1) / 2 (see MODULAR_PRIMES), and x; scratch, if given, is float64
+    of x's shape."""
+    tmp = np.multiply(x, 1.0 / p, out=scratch)
+    np.rint(tmp, out=tmp)
+    tmp *= p
+    x -= tmp
+    return x
+
+
+def _divide_mod(lasts: np.ndarray, dens: np.ndarray, p: int) -> list[int]:
+    """last / den mod p, in [0, p), per matrix, from float64 residues.  den is
+    0 only after a zero pivot, which has made last 0 as well."""
+    lasts, dens = lasts.astype(np.int64).tolist(), dens.astype(np.int64).tolist()
     return [last * pow(d, -1, p) % p if last else 0 for last, d in zip(lasts, dens)]
 
 
@@ -452,13 +464,9 @@ def _pfaffian_batch(packed: np.ndarray) -> np.ndarray:
     for c in range(0, n - 2, 2):
         block = _skew_update(packed, n, c, scratch)
         if c:
-            # the exact quotient is a Pfaffian of order c + 4 <= n, below 2^34,
-            # and the float64 quotient is within 2^-51 of it relative, so
-            # rounding gives it exactly, at a third of the cost of int64 floor
-            # division
-            q = quotient[: block.size].reshape(block.shape)
-            np.divide(block, packed[starts[c - 2]], out=q)
-            block[...] = np.rint(q, out=q)
+            # the quotient and the divisor are Pfaffians of order at most n,
+            # below (n-1)^(n/4) < 2^34
+            _divide_exact(block, packed[starts[c - 2]], quotient[: block.size].reshape(block.shape))
     return packed[m - 1]
 
 
@@ -479,11 +487,6 @@ def _pf_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
     m, k = a.shape
     n = (1 + math.isqrt(1 + 8 * m)) // 2
     starts = _row_starts(n)
-    inv_p = 1.0 / p
-
-    def reduce(x):
-        return x - p * np.rint(x * inv_p)
-
     prefix = np.ones(k)  # G_s before step s
     den = np.ones(k)  # G_0 ... G_s after step s
     for c in range(0, n - 2, 2):
@@ -493,18 +496,13 @@ def _pf_mod(a: np.ndarray, scratch: np.ndarray, p: int) -> list[int]:
         fix = np.flatnonzero(first)
         if len(fix):
             _add_row(a, n, c, first[fix] + c + 1, fix)
-            a[starts[c + 1] : starts[c + 2], fix] = reduce(a[starts[c + 1] : starts[c + 2], fix])
-        den = reduce(den * prefix)
-        prefix = reduce(prefix * a[starts[c]])
+            row = a[starts[c + 1] : starts[c + 2]]
+            row[:, fix] = _reduce_mod(row[:, fix], p)
+        den = _reduce_mod(den * prefix, p)
+        prefix = _reduce_mod(prefix * a[starts[c]], p)
         block = _skew_update(a, n, c, scratch)
-        tmp = scratch[: block.size].reshape(block.shape)
-        np.multiply(block, inv_p, out=tmp)
-        np.rint(tmp, out=tmp)
-        tmp *= p
-        block -= tmp
-    lasts = a[m - 1].astype(np.int64).tolist()
-    dens = den.astype(np.int64).tolist()
-    return _divide_mod(lasts, dens, p)
+        _reduce_mod(block, p, scratch[: block.size].reshape(block.shape))
+    return _divide_mod(a[m - 1], den, p)
 
 
 def _add_row(a: np.ndarray, n: int, c: int, t: np.ndarray, which: np.ndarray):
@@ -555,12 +553,6 @@ def _block_stats(n: int, signs: np.ndarray, convention: str) -> tuple[int, int, 
     absdets = list(map(mul, values, values)) if zero else list(map(abs, values))
     squares = list(map(mul, absdets, absdets))
     return sum(absdets), sum(squares), sum(map(mul, squares, squares)), max(absdets)
-
-
-def _reduce(parts: list[tuple[int, int, int, int]]) -> tuple[int, int, int, int]:
-    """Combine per-chunk _block_stats results."""
-    sum_abs, sum_d2, sum_d4, max_abs = zip(*parts)
-    return sum(sum_abs), sum(sum_d2), sum(sum_d4), max(max_abs)
 
 
 def det_exact(matrix: SkewSignMatrix) -> int:
@@ -642,24 +634,11 @@ def enumerate_stats(n: int, convention: str = "zero") -> DetStats:
     # class once with all first-row signs +1.  So walk those representatives
     # and weight each by 2^(n-1).
     classes = 1 << (m - n + 1)
-    sum_abs, sum_d2, _, max_abs = _reduce([
+    parts = [
         _enum_chunk(n, start, min(start + MC_CHUNK, classes), convention)
         for start in range(0, classes, MC_CHUNK)
-    ])
-    count = 1 << m
-    sum_abs <<= n - 1
-    sum_d2 <<= n - 1
-    return DetStats(
-        n=n,
-        mode="exact",
-        convention=convention,
-        count=count,
-        s1=sum_abs / count,
-        s2=math.sqrt(sum_d2 / count),
-        sum_absdet=sum_abs,
-        sum_det2=sum_d2,
-        max_abs_det=max_abs,
-    )
+    ]
+    return _det_stats(n, convention, parts, 1 << m, weight=1 << (n - 1))
 
 
 def _enum_chunk(n: int, start: int, stop: int, convention: str):
@@ -705,37 +684,36 @@ def mc_stats(
     # too short to overlap, so a second thread never paid (with Bareiss,
     # mc_stats(10, 20000), 2 CPUs: 0.097-0.100 s at 1 thread, 0.098-0.103 s
     # at 2)
-    sum_abs, sum_d2, sum_d4, max_abs = _reduce([
+    parts = [
         _mc_chunk(n, seed, i, min(MC_CHUNK, samples - start), convention)
         for i, start in enumerate(range(0, samples, MC_CHUNK))
-    ])
+    ]
+    return _det_stats(n, convention, parts, samples, seed=seed)
 
-    N = samples
-    m1 = Fraction(sum_abs, N)
-    m2 = Fraction(sum_d2, N)
-    m4 = Fraction(sum_d4, N)
-    s1 = float(m1)
-    s2 = math.sqrt(float(m2))
-    # unbiased sample variances (N >= 100), computed as exact rationals first
-    var1 = (m2 - m1 * m1) * N / (N - 1)
-    var2 = (m4 - m2 * m2) * N / (N - 1)
-    stderr_s1 = math.sqrt(max(float(var1), 0.0) / N)
-    se_m2 = math.sqrt(max(float(var2), 0.0) / N)
-    stderr_s2 = se_m2 / (2 * s2) if s2 > 0 else 0.0
 
+def _det_stats(
+    n: int, convention: str, parts: list, count: int, weight: int = 1, seed: int | None = None
+) -> DetStats:
+    """DetStats over count matrices from the per-chunk _block_stats sums of
+    the matrices walked, each standing for weight of them (enumeration walks
+    one per class).  A seed marks a Monte Carlo estimate, with standard
+    errors from the unbiased sample variances.  Every float is one correctly
+    rounded quotient of exact integers, as int / int rounds once; the
+    variances are >= 0 exactly (Cauchy-Schwarz), so their roundings are too."""
+    sum_abs, sum_d2, sum_d4 = (sum(column) * weight for column in list(zip(*parts))[:3])
+    s1 = sum_abs / count
+    s2 = math.sqrt(sum_d2 / count)
+    stderr_s1 = stderr_s2 = None
+    if seed is not None:
+        N = count
+        stderr_s1 = math.sqrt((N * sum_d2 - sum_abs**2) / (N * (N - 1)) / N)
+        se_m2 = math.sqrt((N * sum_d4 - sum_d2**2) / (N * (N - 1)) / N)
+        stderr_s2 = se_m2 / (2 * s2) if s2 > 0 else 0.0
     return DetStats(
-        n=n,
-        mode="monte-carlo",
-        convention=convention,
-        count=N,
-        s1=s1,
-        s2=s2,
-        sum_absdet=sum_abs,
-        sum_det2=sum_d2,
-        max_abs_det=max_abs,
-        stderr_s1=stderr_s1,
-        stderr_s2=stderr_s2,
-        seed=seed,
+        n=n, mode="exact" if seed is None else "monte-carlo", convention=convention,
+        count=count, s1=s1, s2=s2, sum_absdet=sum_abs, sum_det2=sum_d2,
+        max_abs_det=max(part[3] for part in parts),
+        stderr_s1=stderr_s1, stderr_s2=stderr_s2, seed=seed,
     )
 
 

@@ -378,7 +378,10 @@ class MomentEstimate:
 
 def _simpson_intervals(H: float, step: float, halve: bool = False) -> int:
     """Even Simpson interval count on a window H at about step (step / 2 if
-    halve); ValueError past SIMPSON_MAX_NODES nodes, before any allocation."""
+    halve); ValueError past SIMPSON_MAX_NODES nodes or at a half step of 0,
+    before any allocation."""
+    if halve and not step / 2:
+        raise ValueError(f"step {step!r} halves to 0: use a larger step or --no-convergence-check")
     ratio = H / (step / 2 if halve else step)
     if not ratio <= SIMPSON_MAX_NODES - 1:  # an inf ratio too
         raise ValueError(

@@ -1,5 +1,7 @@
 """CLI contract tests: flags, exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momenttail import cli, moments, skewdet
 from momenttail.moments import TheoremViolationError
@@ -130,6 +134,15 @@ class TestTheoremCheck:
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         assert all(check["holds"] for check in json.loads(out)["checks"])
+
+    def test_finite_second_moment_past_an_overflowing_power(self, capsys, tmp_path):
+        # normalized, the first value is 5e299: pow(v, 2) overflows, w * v^2 does not
+        path = tmp_path / "wide.csv"
+        path.write_text("value,weight\n1e300,1e-300\n1,1\n", encoding="utf-8")
+        code, out, err = run(capsys, ["theorem", "check", "--input", str(path)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["a"], payload["max"]) == (2.5e299, 5e299)
 
     def test_violation_maps_to_exit_1(self, capsys, dist_csv, monkeypatch):
         def boom(dist, grid):
@@ -464,3 +477,40 @@ class TestSharedParser:
         out = capsys.readouterr().out
         assert out == cli.build_parser().format_help()
         assert max(len(line) for line in out.splitlines()) <= int(columns)
+
+
+# 0 or 10^U(-320, 308): subnormal through near the float64 maximum
+wide_floats = st.one_of(st.just(0.0), st.floats(-320.0, 308.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(wide_floats, wide_floats), min_size=1, max_size=6))
+def test_theorem_check_exits_0_or_2_on_wide_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("wide") / "dist.csv"
+    path.write_text("value,weight\n" + "".join(f"{v!r},{w!r}\n" for v, w in rows), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["theorem", "check", "--input", str(path), "--b", "0.5", "--b", "1"])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+GOLDEN_DIST = str(Path(__file__).parent / "golden" / "dist.csv")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["theorem", "check", "--input", "{csv}"], 0),
+    (["zeta", "moments", "--T", "0", "--H", "1.2735e-319", "--step", "5e-324", "--k", "2"], 2),
+    (["skewdet", "mc", "--n", "4", "--samples", "100", "--threads", "0"], 2),
+    (["theorem", "check", "--input", "{csv}", "--b", "nan"], 2),
+    (["skewdet", "enum", "--n", "0"], 2),
+    (["theorem", "check"], 2),
+], ids=["overflowing-power", "subnormal-step", "threads-0", "b-nan", "enum-n0", "no-input"])
+def test_entry_point_never_shows_a_traceback(tmp_path, argv, code):
+    # the real entry point in its own process: bad input exits 2 with a message
+    path = tmp_path / "wide.csv"
+    path.write_text("value,weight\n1e300,1e-300\n1,1\n", encoding="utf-8")
+    got, out, err = _fresh_interpreter([arg.replace("{csv}", str(path)) for arg in argv])
+    assert got == code
+    assert "Traceback" not in err
+    assert bool(out) == (code == 0) and bool(err) == (code == 2)

@@ -163,6 +163,33 @@ class TestMoment:
         with pytest.raises(ValueError):
             moment(TWO_POINT, 0)
 
+    def test_finite_term_past_an_overflowing_power(self):
+        # pow(5e299, 2) overflows, but w * v^2 = 1.25e299 is finite when
+        # formed as (w * v) * v, as the tail sums form it
+        d = normalize(dist((1e300, 1e-300), (1.0, 1.0)))
+        v, w = d.values[0], d.weights[0]
+        assert moment(d, 2) == math.fsum([(w * v) * v, d.weights[1] * d.values[1] ** 2])
+        assert moment(d, 2) == 2.5e299
+        report = verify_theorem(dist((1e300, 1e-300), (1.0, 1.0)), [1.0])
+        assert (report.a, report.max_value) == (2.5e299, 5e299)
+        assert report.checks[0].holds
+
+    def test_overflowing_fourth_power(self):
+        d = dist((1e100, 1e-300), (2.0, 1.0))
+        want = math.fsum([((1e-300 * 1e100) * 1e100) * 1e100 * 1e100, 2.0**4]) / d.total_weight
+        assert moment(d, 4) == want
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_term_past_float64_names_its_entry(self, k):
+        with pytest.raises(ValueError, match=f"entry 1: weight 2.0 \\* value 1e\\+200\\^{k} is past"):
+            moment(dist((1.0, 1.0), (1e200, 2.0)), k)
+
+    def test_finite_powers_keep_one_pass(self, monkeypatch):
+        # only an OverflowError leaves the map / fsum pass
+        monkeypatch.setattr(moments, "_moment_term", mock.Mock(side_effect=AssertionError))
+        d = dist((1e150, 1e-300), (3.0, 2.0), (0.0, 1.0))
+        assert moment(d, 2) == math.fsum([1e-300 * 1e150**2, 2.0 * 9.0]) / d.total_weight
+
 
 class TestTailSecondMoment:
     def test_below_support(self):

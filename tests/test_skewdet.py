@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from momenttail.skewdet import (
 from momenttail.skewdet import (
     BATCH_LIMIT,
     CLIMB_LIMIT,
+    MC_CHUNK,
     MODULAR_PRIMES,
     N_LIMIT,
     PFAFFIAN_LIMIT,
@@ -774,6 +776,56 @@ class TestMonteCarlo:
         assert st.sum_absdet == st.sum_det2 == 150 * det
         assert st.max_abs_det == det
         assert st.stderr_s1 == st.stderr_s2 == 0.0
+
+
+def fraction_floats(sum_abs, sum_d2, sum_d4, N, monte_carlo):
+    """(s1, s2, stderr_s1, stderr_s2) by the exact-rational formulas the
+    statistics were first computed with, as the reference for one rounding."""
+    m1, m2, m4 = Fraction(sum_abs, N), Fraction(sum_d2, N), Fraction(sum_d4, N)
+    s1 = float(m1)
+    s2 = math.sqrt(float(m2))
+    if not monte_carlo:
+        return s1, s2, None, None
+    var1 = (m2 - m1 * m1) * N / (N - 1)
+    var2 = (m4 - m2 * m2) * N / (N - 1)
+    stderr_s1 = math.sqrt(max(float(var1), 0.0) / N)
+    se_m2 = math.sqrt(max(float(var2), 0.0) / N)
+    return s1, s2, stderr_s1, se_m2 / (2 * s2) if s2 > 0 else 0.0
+
+
+def float_bits(values):
+    return [None if x is None else x.hex() for x in values]
+
+
+class TestStatsRounding:
+    """s1, s2 and the standard errors are bit-equal to the exact-rational
+    formulas, each rounded once."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    @pytest.mark.parametrize("n, samples", [
+        (1, 150), (2, 150), (6, MC_CHUNK + 123), (10, MC_CHUNK + 123), (17, 300), (32, 100),
+    ])
+    def test_monte_carlo(self, n, samples, convention, seed):
+        st = mc_stats(n, samples, seed=seed, convention=convention)
+        parts = [
+            skewdet._mc_chunk(n, seed, i, min(MC_CHUNK, samples - start), convention)
+            for i, start in enumerate(range(0, samples, MC_CHUNK))
+        ]
+        sum_abs, sum_d2, sum_d4 = (sum(part[i] for part in parts) for i in range(3))
+        assert (st.sum_absdet, st.sum_det2) == (sum_abs, sum_d2)
+        want = fraction_floats(sum_abs, sum_d2, sum_d4, samples, True)
+        got = (st.s1, st.s2, st.stderr_s1, st.stderr_s2)
+        assert float_bits(got) == float_bits(want)
+
+    @pytest.mark.parametrize("convention", ["zero", "unit"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumeration(self, n, convention):
+        st = enumerate_stats(n, convention)
+        want = fraction_floats(st.sum_absdet, st.sum_det2, 0, st.count, False)
+        got = (st.s1, st.s2, st.stderr_s1, st.stderr_s2)
+        assert float_bits(got) == float_bits(want)
+        assert (st.mode, st.seed) == ("exact", None)
 
 
 class TestAsymptotics:

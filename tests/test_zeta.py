@@ -336,6 +336,19 @@ class TestSimpsonNodeCap:
                 with pytest.raises(AssertionError):  # accepted, then evaluated
                     moment_integral(10.0, 1.0, 2, step=step, convergence_check=False)
 
+    def test_step_halving_to_zero_rejected_before_evaluation(self):
+        # 5e-324 / 2 rounds to 0, so the convergence check has no half step
+        H, step = 1.2735e-319, 5e-324
+        with mock.patch.object(zeta, "zeta_abs_grid", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="halves to 0: .*--no-convergence-check"):
+                moment_integral(0.0, H, 2, step=step)
+        est = moment_integral(0.0, H, 2, step=step, convergence_check=False)
+        assert est.halved_value is None and est.nodes > 2
+
+    def test_smallest_halvable_step_still_checked(self):
+        est = moment_integral(0.0, 1.2735e-319, 2, step=1e-323)
+        assert est.halved_value is not None
+
 
 class TestTailReport:
     def test_window_500(self):
