@@ -11,10 +11,10 @@ A distribution holds its entries in one read-only (k, 2) float64 array, so
 validation, normalization and the sums are numpy operations.  Every sum is
 exactly rounded, so it does not depend on the order of summation and any route
 that forms the same IEEE products gives the same bits.  The total weight, the
-mean and the moments are math.fsum.  The tail sums above a whole grid of
-cutoffs come from one pass that bins the terms' integer mantissas by cutoff
-interval and binary exponent (a small superaccumulator) and rounds each suffix
-sum once, as fsum would.
+mean and the moments are compensated_sum: math.fsum on short arrays, the
+binned pass of numutil.exact_sums on long ones.  The tail sums above a whole
+grid of cutoffs come from one exact_sums pass keyed by value, which rounds
+each suffix sum once, as fsum would.
 
 A CSV without quotes, lone carriage returns or irregular lines is split in
 blocks of whole lines with str.split and float(); any other file is read by
@@ -35,7 +35,7 @@ from typing import IO
 
 import numpy as np
 
-from .numutil import compensated_sum
+from .numutil import compensated_sum, exact_sums
 
 #: tolerance for "is normalized" bookkeeping (weights sum to 1, mean 1)
 NORM_TOL = 1e-12
@@ -47,21 +47,6 @@ ROUNDING = 2.0**-50
 
 # smallest positive normal float64; a product below it keeps fewer bits
 _TINY = np.finfo(np.float64).tiny
-
-# Tail sums.  A term t = (w * v) * v is m * 2**e with m in [0.5, 1) (frexp),
-# and m * 2**26 splits exactly into a whole part below 2**26 (floor) and a
-# fraction that is a multiple of 2**-27.  A bin holds the terms with one
-# exponent e and one count of cutoffs below v.  Its n <= 2**26 whole parts sum
-# to an integer below 2**52, and its fractions to a multiple of 2**-27 below
-# 2**26: every partial sum fits in 53 bits, so float64 adds them exactly in any
-# order.  The bin is then (whole + fraction) * 2**(e - 26), an integer times
-# 2**(e - 53) >= 2**-1126, so each suffix of bins is an exact Python int count
-# of 2**-1126, and int / int rounds it once, half to even, as math.fsum does.
-# Blocks of at most _TAIL_BLOCK <= 2**26 entries keep every bin within that
-# count and bound the temporaries.
-_TAIL_BLOCK = 1 << 17
-_EXP_MIN = -1073  # frexp exponent of the smallest subnormal
-_UNIT = 1 << (53 - _EXP_MIN)  # suffix sums count units of 1 / _UNIT
 
 # characters of whole lines that one block of a plain CSV holds, about
 _PARSE_BLOCK = 1 << 16
@@ -265,10 +250,13 @@ def moment(dist: EmpiricalDistribution, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    # memoryview iterates an array as Python floats without building a list
-    powers = map(math.pow, memoryview(dist.values), repeat(float(k)))
     try:
-        total = compensated_sum(map(mul, memoryview(dist.weights), powers))
+        # memoryview iterates an array as Python floats without building a list
+        powers = np.fromiter(map(math.pow, memoryview(dist.values), repeat(float(k))),
+                             np.float64, len(dist.values))
+        with np.errstate(over="ignore"):  # an inf product makes the sum inf, as in fsum
+            np.multiply(dist.weights, powers, out=powers)
+        total = compensated_sum(powers)
     except OverflowError:
         entries = zip(dist.values.tolist(), dist.weights.tolist())
         total = compensated_sum(_moment_term(i, v, w, k) for i, (v, w) in enumerate(entries))
@@ -298,48 +286,12 @@ def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:
 def _tail_sums(dist: EmpiricalDistribution, b_grid: Sequence[float]) -> list[float]:
     """For each b of b_grid, the sum of (w * v) * v over v > b, as math.fsum
     gives it: exactly rounded, inf when an infinite term is in it, and
-    OverflowError when a finite sum rounds past float64.  One pass over the
-    entries serves every cutoff (see the comment at _TAIL_BLOCK)."""
-    grid = np.asarray(b_grid, dtype=np.float64)
-    if grid.size == 0:
-        return []
-    cuts = np.sort(grid)  # a nan last; a repeated cutoff leaves an empty interval
-    sums = [0] * (len(cuts) + 1)  # per count of cutoffs below v, in 1 / _UNIT
-    infinite = np.zeros(len(cuts) + 1, dtype=bool)
-    for start in range(0, len(dist.values), _TAIL_BLOCK):
-        values = dist.values[start:start + _TAIL_BLOCK]
-        with np.errstate(over="ignore"):  # an inf term makes its sums inf, as in fsum
-            terms = dist.weights[start:start + _TAIL_BLOCK] * values
-            terms *= values
-        bins = np.searchsorted(cuts, values)  # cutoffs below v, then the bin
-        finite = np.isfinite(terms)
-        if not finite.all():
-            infinite[bins[~finite]] = True
-            terms[~finite] = 0.0
-        scaled, exponents = np.frexp(terms, out=(terms, None))  # mantissas over the terms
-        scaled *= 2.0**26
-        wholes = np.floor(scaled)
-        fractions = np.subtract(scaled, wholes, out=scaled)
-        low = int(exponents.min())
-        span = int(exponents.max()) - low + 1
-        bins *= span
-        bins += exponents
-        bins -= low
-        wholes, fractions = np.bincount(bins, wholes), np.bincount(bins, fractions)
-        used = np.flatnonzero(wholes + fractions)
-        block_sums = [0] * len(sums)  # in units of 2**(low - 53)
-        for i, whole, fraction in zip(used.tolist(), wholes[used].tolist(),
-                                      fractions[used].tolist()):
-            block_sums[i // span] += ((int(whole) << 27) + int(fraction * 2.0**27)) << (i % span)
-        for interval, block_sum in enumerate(block_sums):
-            sums[interval] += block_sum << (low - _EXP_MIN)
-    suffix = [0.0] * len(cuts)
-    total, inf = 0, False
-    for i in range(len(cuts), 0, -1):
-        total += sums[i]
-        inf = inf or infinite[i]
-        suffix[i - 1] = math.inf if inf else total / _UNIT
-    return [suffix[i] for i in np.searchsorted(cuts, grid).tolist()]
+    OverflowError when a finite sum rounds past float64.  One exact_sums pass
+    keyed by value serves every cutoff."""
+    with np.errstate(over="ignore"):  # an inf term makes its sums inf, as in fsum
+        terms = dist.weights * dist.values
+        terms *= dist.values
+    return exact_sums(terms, dist.values, b_grid)
 
 
 def verify_theorem(

@@ -18,7 +18,8 @@ memory is bounded for any t, and every step is elementwise, so a value
 depends on its own t alone, not on the grid it was evaluated in.
 
 Windowed moments of |zeta|^k (k = 2 or 4) use composite Simpson quadrature
-with a built-in step-halving convergence record.  The tail report discretizes
+with a built-in step-halving convergence record; when the half-step grid holds
+every full-step node, only it is evaluated.  The tail report discretizes
 xi = H |zeta|^2 / integral(|zeta|^2) over the quadrature nodes, giving a unit
 mean by construction, and checks the tail inequality on that finite
 distribution with moments.check_tail_inequality, where it is exact.
@@ -31,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from .moments import EmpiricalDistribution, check_tail_inequality
-from .numutil import compensated_dot, resolve_threads
+from .numutil import compensated_dot, exact_sums, resolve_threads
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -228,16 +229,17 @@ def _psi(p) -> np.ndarray:
 
     Evaluated through sin-quotient rearrangements centered on the removable
     zeros of the denominator at p = 1/4 (used on [0, 1/2]) and p = 3/4
-    (used on (1/2, 1]), so no cancellation occurs anywhere in [0, 1].
+    (used on (1/2, 1]), so no cancellation occurs anywhere in [0, 1].  Each
+    is evaluated only on its own half, where its sinc denominator has no zero.
     """
     p = np.asarray(p, dtype=float)
-    u = p - 0.25
-    with np.errstate(invalid="ignore", divide="ignore"):
-        low = ((1 - 2 * u) / 2) * np.sinc(u - 2 * u * u) / np.sinc(2 * u)
-    v = p - 0.75
-    with np.errstate(invalid="ignore", divide="ignore"):
-        high = ((1 + 2 * v) / 2) * np.sinc(v + 2 * v * v) / np.sinc(2 * v)
-    return np.where(p <= 0.5, low, high)
+    out = np.empty_like(p)
+    low = p <= 0.5
+    u = p[low] - 0.25
+    out[low] = ((1 - 2 * u) / 2) * np.sinc(u - 2 * u * u) / np.sinc(2 * u)
+    v = p[~low] - 0.75
+    out[~low] = ((1 + 2 * v) / 2) * np.sinc(v + 2 * v * v) / np.sinc(2 * v)
+    return out
 
 
 @cache
@@ -416,9 +418,11 @@ def moment_integral(
     """Simpson quadrature of |zeta(1/2+it)|^k over [T, T+H], k in {2, 4}.
 
     When convergence_check is on, the integral is recomputed at half the step
-    and the relative change recorded.  The integrand oscillates on unit scale,
-    so steps above 0.25 set a warning flag instead of failing.  Grids past
-    SIMPSON_MAX_NODES nodes, the half-step one included, raise ValueError.
+    and the relative change recorded; the full-step nodes are evaluated once,
+    as part of the half-step grid, whenever that grid holds them.  The
+    integrand oscillates on unit scale, so steps above 0.25 set a warning flag
+    instead of failing.  Grids past SIMPSON_MAX_NODES nodes, the half-step one
+    included, raise ValueError.
     """
     _require_finite(T=T, H=H, step=step)
     if T < 0:
@@ -432,14 +436,23 @@ def moment_integral(
     _simpson_intervals(H, step, halve=convergence_check)
 
     ts, w, h = _simpson_grid(T, H, step)
-    z = zeta_abs_grid(ts, cfg, threads)
-    value = compensated_dot(w, z**k)
-
     halved = delta = None
-    if convergence_check:
+    if not convergence_check:
+        z = zeta_abs_grid(ts, cfg, threads)
+    else:
         ts2, w2, _ = _simpson_grid(T, H, step / 2)
-        z2 = zeta_abs_grid(ts2, cfg, threads)
+        # |zeta| depends on t alone, so where the half-step grid holds every
+        # full-step node (no node is -0.0 or nan, so == is bit for bit), its
+        # even nodes give the full-step values
+        if np.array_equal(ts2[::2], ts):
+            z2 = zeta_abs_grid(ts2, cfg, threads)
+            z = z2[::2]
+        else:
+            z = zeta_abs_grid(ts, cfg, threads)
+            z2 = zeta_abs_grid(ts2, cfg, threads)
         halved = compensated_dot(w2, z2**k)
+    value = compensated_dot(w, z**k)
+    if halved is not None:
         delta = abs(value - halved) / max(abs(halved), 1e-300)
 
     return MomentEstimate(
@@ -494,15 +507,12 @@ class TailMomentReport:
     coeff_high: float = COEFF_HIGH
 
     def __post_init__(self):
-        if self.restricted_fourth > self.fourth_moment * (1 + 1e-9):
+        # both are exactly rounded sums of one set of non-negative terms, and
+        # rounding is monotone, so the subset sum is never larger
+        if self.restricted_fourth > self.fourth_moment:
             raise ValueError("restricted fourth moment exceeds the full moment")
         if self.measure_of_set > self.H * (1 + 1e-9):
             raise ValueError("restricted set measure exceeds the window length")
-
-
-def _restricted(w, z, z4, cutoff) -> tuple[float, float]:
-    mask = z > cutoff
-    return compensated_dot(w[mask], z4[mask]), float(np.sum(w[mask]))
 
 
 def tail_moment_report(
@@ -532,9 +542,7 @@ def tail_moment_report(
     ts, w, h = _simpson_grid(T, H, step)
     z = zeta_abs_grid(ts, cfg, threads)
     z2 = z**2
-    z4 = z2**2
     i2 = compensated_dot(w, z2)
-    i4 = compensated_dot(w, z4)
     if i2 <= 0:
         raise ValueError("second moment vanished; window too degenerate to scale")
 
@@ -547,20 +555,14 @@ def tail_moment_report(
     (tail_check,) = theorem.checks
 
     log32 = math.log(T) ** 1.5
-    cutoff_low = COEFF_LOW * log32
-    cutoff_high = COEFF_HIGH * log32
-    r4_low, meas_low = _restricted(w, z, z4, cutoff_low)
-    r4_high, meas_high = _restricted(w, z, z4, cutoff_high)
-
     c_used = COEFF_LOW if c_threshold is None else float(c_threshold)
-    # reuse a restriction already computed: the default cutoff keeps most
-    # nodes, and a third _restricted pass cost about 1 ms of a 15 ms report
-    if c_used == COEFF_LOW:
-        r4, meas = r4_low, meas_low
-    elif c_used == COEFF_HIGH:
-        r4, meas = r4_high, meas_high
-    else:
-        r4, meas = _restricted(w, z, z4, c_used * log32)
+    cutoffs = (COEFF_LOW * log32, COEFF_HIGH * log32, c_used * log32)
+    # the whole fourth moment (|zeta| > -inf) and each restriction, from one
+    # exactly rounded pass over the terms w |zeta|^4 keyed by |zeta|
+    i4, r4_low, r4_high, r4 = exact_sums(w * z2**2, z, (-math.inf,) + cutoffs)
+    # the set measures stay np.sum: the reports carry its bits, and it is not
+    # exactly rounded
+    meas_low, meas_high, meas = (float(np.sum(w[z > cutoff])) for cutoff in cutoffs)
 
     target = COEFF_LOW * T * math.log(T) ** 4
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from momenttail import moments
+from momenttail import moments, numutil
 from momenttail.moments import (
     DegenerateDistributionError,
     DistributionFormatError,
@@ -441,7 +441,7 @@ def tail_sum_exact(pairs, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(extreme_dists, st.data(), st.sampled_from([1, 3, moments._TAIL_BLOCK]))
+@given(extreme_dists, st.data(), st.sampled_from([1, 3, numutil._SUM_BLOCK]))
 def test_one_pass_tails_equal_fsum_at_every_cutoff(pairs, data, block):
     d = dist(*pairs)
     atoms = sorted(set(d.values.tolist()))
@@ -453,7 +453,7 @@ def test_one_pass_tails_equal_fsum_at_every_cutoff(pairs, data, block):
     )
     grid = data.draw(st.lists(cutoff, min_size=1, max_size=12))
     expected = [tail_sum_exact(pairs, b) for b in grid]
-    with mock.patch.object(moments, "_TAIL_BLOCK", block):
+    with mock.patch.object(numutil, "_SUM_BLOCK", block):
         if None in expected:
             with pytest.raises(OverflowError):
                 moments._tail_sums(d, grid)

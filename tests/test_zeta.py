@@ -1,5 +1,6 @@
 """Tests for the |zeta| evaluators, moment quadrature and tail reports."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -114,6 +115,21 @@ class TestEvaluator:
         em = zeta_abs_euler_maclaurin(ts)
         rs = zeta_abs_riemann_siegel(ts, correction_terms=2)
         assert float(np.max(np.abs(em - rs))) <= 2e-3
+
+    def test_psi_branches_evaluated_on_their_own_halves(self):
+        # reference: both sin-quotient branches on every p, then a choice;
+        # each p takes the same elementwise steps, so the bits agree
+        p = np.concatenate((np.linspace(0.0, 1.0, 8193), [0.25, 0.5, 0.75, np.nextafter(0.5, 1.0)]))
+        u, v = p - 0.25, p - 0.75
+        with np.errstate(invalid="ignore", divide="ignore"):
+            low = ((1 - 2 * u) / 2) * np.sinc(u - 2 * u * u) / np.sinc(2 * u)
+            high = ((1 + 2 * v) / 2) * np.sinc(v + 2 * v * v) / np.sinc(2 * v)
+        got = zeta._psi(p)  # a division warning would fail the suite
+        assert np.array_equal(got, np.where(p <= 0.5, low, high))
+        assert np.isfinite(got).all()
+        direct = np.cos(2 * np.pi * (p * p - p - 1 / 16)) / np.cos(2 * np.pi * p)
+        away = np.abs(np.cos(2 * np.pi * p)) > 0.1
+        assert np.allclose(got[away], direct[away], rtol=1e-12)
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
@@ -314,6 +330,49 @@ class TestMomentIntegral:
         assert a.value == b.value
 
 
+class TestNodeReuse:
+    @staticmethod
+    def two_grid_estimate(T, H, k, step):
+        """MomentEstimate from both Simpson grids, each evaluated in full."""
+        values = []
+        for s in (step, step / 2):
+            ts, w, h = zeta._simpson_grid(T, H, s)
+            values.append((zeta.compensated_dot(w, zeta_abs_grid(ts) ** k), ts.size, h))
+        (value, nodes, h), (halved, _, _) = values
+        return zeta.MomentEstimate(
+            T=T, H=H, k=k, value=value, nodes=nodes, step=h, halved_value=halved,
+            convergence_delta=abs(value - halved) / max(abs(halved), 1e-300),
+            coarse_step_warning=step > 0.25)
+
+    @pytest.mark.parametrize("T, H, step, nested", [
+        (20.0, 50.0, 0.05, True),
+        (0.0, 200.0, 0.05, True),  # the Euler-Maclaurin-heavy window
+        (20.0, 1.03, 0.1, False),  # 12 intervals, and 22 at the half step
+    ])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_each_node_evaluated_once(self, T, H, step, nested, k):
+        full = zeta._simpson_intervals(H, step) + 1
+        half = zeta._simpson_intervals(H, step, halve=True) + 1
+        assert (half == 2 * full - 1) is nested
+        calls = []
+
+        def counting(ts, *args):
+            calls.append(len(ts))
+            return zeta_abs_grid(ts, *args)
+
+        with mock.patch.object(zeta, "zeta_abs_grid", counting):
+            est = moment_integral(T, H, k, step=step)
+        assert calls == ([half] if nested else [full, half])
+        assert repr(est) == repr(self.two_grid_estimate(T, H, k, step))
+
+    def test_no_convergence_check_evaluates_the_full_grid(self):
+        calls = []
+        with mock.patch.object(zeta, "zeta_abs_grid",
+                               lambda ts, *a: calls.append(len(ts)) or zeta_abs_grid(ts, *a)):
+            moment_integral(20.0, 50.0, 2, step=0.05, convergence_check=False)
+        assert calls == [1001]
+
+
 class TestSimpsonNodeCap:
     def test_largest_documented_window_accepted(self):
         # H = 1000 at step 0.05: 40,001 nodes with the half step
@@ -386,6 +445,30 @@ class TestTailReport:
     def test_small_T_rejected(self):
         with pytest.raises(ValueError):
             tail_moment_report(5.0, 100.0)
+
+    @pytest.mark.parametrize("T, H, c", [(500.0, 500.0, None), (2500.0, 500.0, 0.1),
+                                         (200.0, 200.0, COEFF_HIGH), (4000.0, 1000.0, 0.5),
+                                         (100.0, 10.0, 1e9)])
+    def test_restricted_sums_equal_masked_dots(self, T, H, c):
+        rep = tail_moment_report(T, H, c_threshold=c)
+        ts, w, _ = zeta._simpson_grid(T, H, 0.05)
+        z = zeta_abs_grid(ts)
+        z4 = (z**2) ** 2
+        assert rep.fourth_moment == zeta.compensated_dot(w, z4)
+        for cutoff, r4, meas in ((rep.threshold, rep.restricted_fourth, rep.measure_of_set),
+                                 (COEFF_LOW * math.log(T) ** 1.5, rep.restricted_fourth_low,
+                                  rep.measure_low),
+                                 (COEFF_HIGH * math.log(T) ** 1.5, rep.restricted_fourth_high,
+                                  rep.measure_high)):
+            mask = z > cutoff
+            assert r4 == math.fsum((w[mask] * z4[mask]).tolist())
+            assert meas == float(np.sum(w[mask]))
+
+    def test_restricted_fourth_never_above_the_whole(self):
+        rep = tail_moment_report(500.0, 200.0, c_threshold=-1.0, step=0.1)
+        assert rep.restricted_fourth == rep.fourth_moment  # every node is kept
+        with pytest.raises(ValueError, match="restricted fourth moment exceeds"):
+            dataclasses.replace(rep, restricted_fourth=math.nextafter(rep.fourth_moment, math.inf))
 
     @pytest.mark.parametrize("T, H", [(100.0, 20.0), (500.0, 100.0), (3000.0, 50.0)])
     def test_e_xi_is_the_first_moment(self, T, H):
