@@ -1,11 +1,15 @@
 """Command-line entry point: `mtl <subcommand> ...`.
 
-Every command emits one report (JSON by default) on stdout or --out.  JSON is
-serialized with sorted keys and fixed formatting, so identical argv produces
-byte-identical output; big integers are decimal strings.  Exit codes: 0 ok,
-1 failed --assert or violated exact inequality (theorem check, zeta tail or
-the skewdet bound in repro), 2 bad flags, malformed input files or an
-unreadable or unwritable path.
+Each command handler returns its report, a dataclass or a dict, and main()
+serializes, renders and writes it once (JSON by default) on stdout or --out;
+`symchar table` alone writes its own CSV.  JSON is serialized with sorted keys
+and fixed formatting, so identical argv produces byte-identical output; big
+integers are decimal strings.  Exit codes: 0 ok, 1 a violated exact inequality
+(TheoremViolationError, raised by the module that owns the check: theorem
+check, zeta tail, the symchar degree identities and bound, the skewdet bound
+in repro), 2 bad flags, malformed input files or an unreadable or unwritable
+path.  --assert is still accepted where it was and changes nothing: every exact
+check is enforced without it.
 
 main() parses with one parser, built once per process, so in-process callers
 pay argparse construction once; build_parser() still returns a fresh parser.
@@ -44,8 +48,8 @@ def _render(payload: dict, fmt: str) -> str:
     return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
 
 
-def _emit(payload: dict, args):
-    _write(_render(payload, args.fmt), args)
+def _emit(report, args):
+    _write(_render(to_json(report), args.fmt), args)
 
 
 def _write(text: str, args):
@@ -62,17 +66,12 @@ def _zeta_cfg(args) -> zeta.ZetaEvalConfig:
     )
 
 
-def _cmd_theorem_check(args) -> int:
-    dist = moments.load_distribution_csv(args.input)
-    report = moments.verify_theorem(dist, args.b or [])
-    _emit(to_json(report), args)
-    if args.enforce and not all(c.holds for c in report.checks):
-        return 1
-    return 0
+def _cmd_theorem_check(args):
+    return moments.verify_theorem(moments.load_distribution_csv(args.input), args.b or [])
 
 
-def _cmd_zeta_moments(args) -> int:
-    est = zeta.moment_integral(
+def _cmd_zeta_moments(args):
+    return zeta.moment_integral(
         args.T,
         args.H,
         args.k,
@@ -81,12 +80,10 @@ def _cmd_zeta_moments(args) -> int:
         convergence_check=not args.no_convergence_check,
         threads=args.threads,
     )
-    _emit(to_json(est), args)
-    return 0
 
 
-def _cmd_zeta_tail(args) -> int:
-    report = zeta.tail_moment_report(
+def _cmd_zeta_tail(args):
+    return zeta.tail_moment_report(
         args.T,
         args.H,
         c_threshold=args.c_threshold,
@@ -94,36 +91,26 @@ def _cmd_zeta_tail(args) -> int:
         cfg=_zeta_cfg(args),
         threads=args.threads,
     )
-    _emit(to_json(report), args)
-    if args.enforce and not report.holds:
-        return 1
-    return 0
 
 
-def _cmd_skewdet_enum(args) -> int:
+def _cmd_skewdet_enum(args):
     stats = skewdet.enumerate_stats(args.n, args.convention)
-    payload = to_json(stats)
-    if args.convention == "zero" and args.n % 2 == 1:
-        payload["note"] = "odd n with zero diagonal: every determinant is 0"
-    _emit(payload, args)
-    return 0
+    if stats.max_abs_det:
+        return stats
+    return {**to_json(stats), "note": "odd n with zero diagonal: every determinant is 0"}
 
 
-def _cmd_skewdet_mc(args) -> int:
-    stats = skewdet.mc_stats(
+def _cmd_skewdet_mc(args):
+    return skewdet.mc_stats(
         args.n, args.samples, seed=args.seed, convention=args.convention,
         threads=args.threads,
     )
-    _emit(to_json(stats), args)
-    return 0
 
 
-def _cmd_skewdet_search(args) -> int:
-    result = skewdet.search_high_det(
+def _cmd_skewdet_search(args):
+    return skewdet.search_high_det(
         args.n, args.budget, seed=args.seed, convention=args.convention
     )
-    _emit(to_json(result), args)
-    return 0
 
 
 def _symchar_report_payload(n: int, eps: float) -> dict:
@@ -132,75 +119,62 @@ def _symchar_report_payload(n: int, eps: float) -> dict:
     asym = symchar.max_degree_asym_bound(n, eps)
     xi = symchar.xi_moments(n)
     max_deg = table.max_degree
-    payload = to_json(table)
-    payload.update(
-        {
-            "row_count": len(table.rows),
-            "max_degree": str(max_deg),
-            "eps": eps,
-            "second_moment_bound": {**to_json(bound), "value": bound.value},
-            "bound_satisfied": max_deg * bound.denominator >= bound.numerator,
-            "asym_bound_log": asym.log,
-            "asym_bound_value": asym.value,
-            "max_degree_to_asym_ratio": (
-                None if asym.log == -math.inf
-                else math.exp(math.log(max_deg) - asym.log)
-            ),
-            "xi_moments": to_json(xi),
-            "p_asym_to_exact_ratio": symchar.p_asym(n) / xi.p_n,
-            "involutions_asym_to_exact_ratio": math.exp(
-                symchar.involutions_asym(n).log - math.log(xi.t_n)
-            ),
-        }
-    )
-    return payload
+    return {
+        **to_json(table),
+        "row_count": len(table.rows),
+        "max_degree": str(max_deg),
+        "eps": eps,
+        "second_moment_bound": {**to_json(bound), "value": bound.value},
+        "bound_satisfied": True,  # degree_table raises on a miss
+        "asym_bound_log": asym.log,
+        "asym_bound_value": asym.value,
+        "max_degree_to_asym_ratio": (
+            None if asym.log == -math.inf
+            else math.exp(math.log(max_deg) - asym.log)
+        ),
+        "xi_moments": xi,
+        "p_asym_to_exact_ratio": symchar.p_asym(n) / xi.p_n,
+        "involutions_asym_to_exact_ratio": math.exp(
+            symchar.involutions_asym(n).log - math.log(xi.t_n)
+        ),
+    }
 
 
-def _cmd_symchar_report(args) -> int:
-    payload = _symchar_report_payload(args.n, args.eps)
-    _emit(payload, args)
-    if args.enforce and not payload["bound_satisfied"]:
-        return 1
-    return 0
+def _cmd_symchar_report(args):
+    return _symchar_report_payload(args.n, args.eps)
 
 
-def _cmd_symchar_table(args) -> int:
+def _cmd_symchar_table(args):
     table = symchar.degree_table(args.n)
     lines = ["partition,degree\n"]
     lines += [f"{lam},{d}\n" for lam, d in table.rows]
     _write("".join(lines), args)
-    return 0
 
 
-def _cmd_repro(args) -> int:
+def _cmd_repro(args):
     zeta_reports = [
-        to_json(zeta.tail_moment_report(T, H, threads=args.threads))
+        zeta.tail_moment_report(T, H, threads=args.threads)
         for T, H in ((500.0, 500.0), (1000.0, 1000.0))
     ]
-
     enum6 = skewdet.enumerate_stats(6)
-    det_bound = skewdet.second_moment_det_bound(enum6)
-    mc10 = skewdet.mc_stats(10, 20000, seed=args.seed, threads=args.threads)
-    search10 = skewdet.search_high_det(10, budget=2000, seed=args.seed)
-    skew_payload = {
-        "enum_n6": to_json(enum6),
-        "second_moment_bound_n6": det_bound,
-        "bound_satisfied_n6": enum6.max_abs_det * enum6.sum_absdet >= enum6.sum_det2,
-        "s1_asym_ratio_n6": enum6.s1 / skewdet.szekeres_s1_asym(6).value,
-        "s2_asym_ratio_n6": enum6.s2 / skewdet.szekeres_s2_asym(6).value,
-        "existence_bound_log_n6": skewdet.det_existence_bound(6).log,
-        "mc_n10": to_json(mc10),
-        "search_n10": to_json(search10),
-    }
-
-    payload = {
+    return {
         "zeta_tail": zeta_reports,
-        "skew_determinants": skew_payload,
+        "skew_determinants": {
+            "enum_n6": enum6,
+            "second_moment_bound_n6": skewdet.second_moment_det_bound(enum6),
+            "bound_satisfied_n6": True,  # second_moment_det_bound raises on a miss
+            "s1_asym_ratio_n6": enum6.s1 / skewdet.szekeres_s1_asym(6).value,
+            "s2_asym_ratio_n6": enum6.s2 / skewdet.szekeres_s2_asym(6).value,
+            "existence_bound_log_n6": skewdet.det_existence_bound(6).log,
+            "mc_n10": skewdet.mc_stats(10, 20000, seed=args.seed, threads=args.threads),
+            "search_n10": skewdet.search_high_det(10, budget=2000, seed=args.seed),
+        },
         "character_degrees": _symchar_report_payload(25, 0.0),
         "seed": args.seed,
     }
-    _emit(payload, args)
-    return 0
+
+
+_ASSERT_HELP = "accepted for compatibility: a violated exact check exits 1 with or without it"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = t_sub.add_parser("check", parents=[common], help="verify the tail inequality on a CSV distribution")
     p_check.add_argument("--input", required=True, help="CSV file with `value,weight` header")
     p_check.add_argument("--b", action="append", type=float, help="tail cutoff; repeatable")
-    p_check.add_argument("--assert", dest="enforce", action="store_true",
-                         help="exit 1 unless every check holds")
+    p_check.add_argument("--assert", action="store_true", help=_ASSERT_HELP)
     p_check.set_defaults(func=_cmd_theorem_check)
 
     p_zeta = sub.add_parser("zeta", help="critical-line moment quadrature")
@@ -253,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             pz.add_argument("--c-threshold", dest="c_threshold", type=float, default=None,
                             help="coefficient on log^{3/2} T (default 1/(4 pi^2))")
-            pz.add_argument("--assert", dest="enforce", action="store_true")
+            pz.add_argument("--assert", action="store_true", help=_ASSERT_HELP)
             pz.set_defaults(func=_cmd_zeta_tail)
 
     p_skew = sub.add_parser("skewdet", help="skew sign-matrix determinant statistics")
@@ -280,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = y_sub.add_parser("report", parents=[common], help="degree bounds and moment report")
     p_rep.add_argument("--n", type=int, required=True)
     p_rep.add_argument("--eps", type=float, default=0.0)
-    p_rep.add_argument("--assert", dest="enforce", action="store_true")
+    p_rep.add_argument("--assert", action="store_true", help=_ASSERT_HELP)
     p_rep.set_defaults(func=_cmd_symchar_report)
     p_tab = y_sub.add_parser(
         "table", parents=[common],
@@ -307,7 +280,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         resolve_threads(args.threads)  # whether or not the command uses it
-        return args.func(args)
+        report = args.func(args)
+        if report is not None:  # symchar table writes its own CSV
+            _emit(report, args)
+        return 0
     except DistributionFormatError as exc:
         print(f"error: malformed distribution CSV: {exc}", file=sys.stderr)
         return 2

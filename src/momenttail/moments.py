@@ -333,15 +333,12 @@ def check_tail_inequality(
     checks = []
     for b, tail_sum in zip(b_grid, _tail_sums(dist, b_grid)):
         tail = tail_sum / dist.total_weight
-        lower = a - b
-        holds = tail >= lower - CHECK_TOL
-        if b < a and not holds:
-            holds = exact.tail_holds(b, tail)
-            if not holds:
-                raise TheoremViolationError(
-                    f"tail({b}) = {tail} < a - b = {lower} on finite support"
-                )
-        checks.append(TailCheck(b=b, tail=tail, lower_bound=lower, holds=holds))
+        lower = a - b  # <= 0 <= tail for b >= a
+        if tail < lower - CHECK_TOL and not exact.tail_holds(b, tail):
+            raise TheoremViolationError(
+                f"tail({b}) = {tail} < a - b = {lower} on finite support"
+            )
+        checks.append(TailCheck(b=b, tail=tail, lower_bound=lower, holds=True))
 
     if not degenerate and max_value < a - CHECK_TOL and not exact.max_holds():
         raise TheoremViolationError(f"max {max_value} < second moment {a}")
@@ -414,22 +411,24 @@ def load_distribution_csv(source: str | IO[str]) -> EmpiricalDistribution:
 
     The text is read once; a file object is read to its end and parsed as a
     file opened with newline="".  A plain file (see _parse_plain) is split
-    in blocks; any other file, or a plain one with an entry that float() or
-    EmpiricalDistribution rejects, is read by csv.reader, so every error comes
-    from one place: DistributionFormatError with the offending 1-based line.
+    in blocks; any other file, or a plain one with a field that float()
+    rejects, is read by csv.reader.  Every error is a DistributionFormatError
+    with the offending 1-based line: a plain file has no blank line, so its
+    entry i is on line i + 2.
     """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     else:
         text = source.read()
-    entries = _parse_plain(text)
-    if entries is not None:
-        try:
-            return EmpiricalDistribution(entries)
-        except InvalidEntryError:
-            pass  # the csv.reader route reports it with its line
-    return _parse_rows(text)
+    entries, blanks_at = _parse_plain(text), ()
+    if entries is None:
+        entries, blanks_at = _parse_rows(text)
+    try:
+        return EmpiricalDistribution(entries)
+    except InvalidEntryError as exc:
+        line = 2 + exc.index + sum(n <= exc.index for n in blanks_at)
+        raise DistributionFormatError(line, str(exc)) from None
 
 
 def _parse_plain(text: str) -> np.ndarray | None:
@@ -491,8 +490,9 @@ def _csv_rows(text: str) -> Iterator[list[str]]:
         raise DistributionFormatError(line + 1, str(exc)) from None
 
 
-def _parse_rows(text: str) -> EmpiricalDistribution:
-    """Read text with csv.reader, one row and two float() calls per line."""
+def _parse_rows(text: str) -> tuple[np.ndarray, list[int]]:
+    """The (k, 2) entries of text, read with csv.reader, one row and two
+    float() calls per line, and the entry count at each skipped blank row."""
     reader = _csv_rows(text)
     try:
         header = next(reader)
@@ -520,8 +520,4 @@ def _parse_rows(text: str) -> EmpiricalDistribution:
         weights.append(weight)
     if not values:
         raise DistributionFormatError(2, "no data rows")
-    try:
-        return EmpiricalDistribution(np.column_stack((values, weights)))
-    except InvalidEntryError as exc:
-        line = 2 + exc.index + sum(n <= exc.index for n in blanks_at)
-        raise DistributionFormatError(line, str(exc)) from None
+    return np.column_stack((values, weights)), blanks_at

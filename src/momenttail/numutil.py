@@ -18,9 +18,6 @@ from typing import Iterable
 
 import numpy as np
 
-# exp overflows float64 just above this
-_EXP_MAX = 709.0
-
 # Exact sums.  A finite term t is m * 2**e with 0.5 <= |m| < 1 (frexp), and
 # m * 2**26 splits exactly into a whole part, an integer of magnitude at most
 # 2**26 (floor), and a fraction in [0, 1) that is a multiple of 2**-27.  A bin
@@ -154,11 +151,10 @@ class LogReal:
 
     @property
     def value(self) -> float:
-        if self.log == -math.inf:
-            return 0.0
-        if self.log > _EXP_MAX:
+        try:
+            return math.exp(self.log)
+        except OverflowError:
             return math.inf
-        return math.exp(self.log)
 
     def __float__(self) -> float:
         return self.value
@@ -177,7 +173,8 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def to_json(obj):
-    """JSON-ready form of a report: dataclasses become dicts, lists and tuples lists.
+    """JSON-ready form of a report: dataclasses become dicts, lists and tuples
+    lists, and a dict's values are converted in turn.
 
     Fields are written under their own names unless their metadata says
     otherwise:
@@ -189,6 +186,8 @@ def to_json(obj):
     """
     if isinstance(obj, (list, tuple)):
         return [to_json(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: to_json(value) for key, value in obj.items()}
     if not dataclasses.is_dataclass(obj):
         return obj
     out = {}

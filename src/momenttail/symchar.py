@@ -4,6 +4,8 @@ Degrees come from the hook length formula (n! divided by the product of hook
 lengths), so every number in a table is an exact integer.  Two classical
 identities tie the tables together and serve as verification anchors: the
 degrees sum to the involution count t(n), and their squares sum to n!.
+degree_table checks both, and the tail bound max >= n!/t(n) in exact
+integers, and raises TheoremViolationError on a miss.
 Asymptotic companions (partition counts, involution counts, moment formulas)
 are evaluated in log space and only ever reported as ratios, never asserted:
 they carry no error rate.
@@ -15,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .moments import TheoremViolationError
 from .numutil import LogReal, log_factorial
 
 #: p(60) = 966467 rows is the desk-scale ceiling for full tables
@@ -169,17 +172,24 @@ class DegreeTable:
 
 
 def degree_table(n: int) -> DegreeTable:
-    """Exact degree table; totals are checked against t(n) and n! on the spot."""
+    """Exact degree table, checked on the spot: the totals against t(n) and n!,
+    and the maximum against the tail bound max * sum d >= sum d^2, that is
+    max >= n!/t(n).  A miss raises TheoremViolationError: these are theorems,
+    so failure means a bug."""
     if not 1 <= n <= N_GUARD:
         raise ValueError(f"n must be in [1, {N_GUARD}]")
     rows = tuple((lam, degree(lam)) for lam in partitions(n))
     sum_d = sum(d for _, d in rows)
     sum_d2 = sum(d * d for _, d in rows)
     if sum_d2 != factorial(n):
-        raise RuntimeError(f"degree squares sum to {sum_d2}, expected {n}!")
+        raise TheoremViolationError(f"degree squares sum to {sum_d2}, expected {n}!")
     if sum_d != involutions(n):
-        raise RuntimeError(f"degrees sum to {sum_d}, expected t({n})")
-    return DegreeTable(n=n, rows=rows, sum_degrees=sum_d, sum_degree_squares=sum_d2)
+        raise TheoremViolationError(f"degrees sum to {sum_d}, expected t({n})")
+    table = DegreeTable(n=n, rows=rows, sum_degrees=sum_d, sum_degree_squares=sum_d2)
+    if table.max_degree * sum_d < sum_d2:
+        raise TheoremViolationError(
+            f"max degree {table.max_degree} misses the bound {sum_d2} / {sum_d}")
+    return table
 
 
 @dataclass(frozen=True)

@@ -317,13 +317,13 @@ def zeta_abs_grid(
 
     Every value depends only on its own t and cfg, so it does not change with
     the chunking, the neighbouring points or threads (validated, then unused:
-    chunks run serially).  A t whose route would need more than
-    DIRICHLET_MAX_TERMS Dirichlet terms raises ValueError before any node is
-    evaluated.
+    chunks run serially).  A negative or nan t, or one whose route would need
+    more than DIRICHLET_MAX_TERMS Dirichlet terms, raises ValueError before any
+    node is evaluated.
     """
     resolve_threads(threads)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts < 0):
+    if not np.all(ts >= 0):  # nan fails this too
         raise ValueError("t must be non-negative")
     _check_terms(ts, cfg)
     parts = [_eval_grid(ts[i : i + _EVAL_CHUNK], cfg) for i in range(0, ts.size, _EVAL_CHUNK)]

@@ -315,6 +315,13 @@ class TestExactChecks:
             "misses exact bound 1000000000000000000001 / 1000000000000\n"
         )
 
+    @pytest.mark.parametrize("flags", [[], ["--assert"]])
+    def test_symchar_identity_violation_exits_1(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli.symchar, "degree", lambda lam: 1)
+        code, out, err = run(capsys, ["symchar", "report", "--n", "5", *flags])
+        assert (code, out) == (1, "")
+        assert err == "error: exact inequality violated (bug): degree squares sum to 7, expected 5!\n"
+
 
 class TestReports:
     def test_symchar_report_n4(self, capsys):
@@ -331,6 +338,16 @@ class TestReports:
         payload = json.loads(out)
         assert payload["s1"] == 0.0
         assert "zero diagonal" in payload["note"]
+
+    @pytest.mark.parametrize("n, convention, noted", [
+        (1, "zero", True), (5, "zero", True), (2, "zero", False), (4, "zero", False),
+        (1, "unit", False), (3, "unit", False),
+    ])
+    def test_skewdet_enum_note_only_where_every_det_is_0(self, capsys, n, convention, noted):
+        code, out, _ = run(capsys, ["skewdet", "enum", "--n", str(n), "--convention", convention])
+        payload = json.loads(out)
+        assert (code, "note" in payload) == (0, noted)
+        assert (payload["max_abs_det"] == "0") == noted
 
     def test_zeta_moments_json(self, capsys):
         code, out, _ = run(
@@ -421,13 +438,19 @@ class TestRepro:
         assert chars["bound_satisfied"] is True
 
 
-def _fresh_interpreter(argv):
-    """Reply of `mtl argv` from a new process: its parser is built anew."""
+def _fresh_interpreter(argv, patch=""):
+    """Reply of `mtl argv` from a new process: its parser is built anew.
+
+    patch is Python source run in that process first; the module then runs
+    as `python -m momenttail.cli` would run it."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    entry = ["-m", "momenttail.cli"]
+    if patch:
+        entry = ["-c", f"{patch}\nimport runpy\nrunpy.run_module('momenttail.cli', run_name='__main__')"]
     proc = subprocess.run(
-        [sys.executable, "-m", "momenttail.cli", *argv],
+        [sys.executable, *entry, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -496,21 +519,40 @@ def test_theorem_check_exits_0_or_2_on_wide_rows(tmp_path_factory, rows):
 
 
 GOLDEN_DIST = str(Path(__file__).parent / "golden" / "dist.csv")
+#: a bug in the hook length formula: every degree 1, so sum d^2 misses n!
+WRONG_DEGREES = "import momenttail.symchar as s\ns.degree = lambda lam: 1"
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["theorem", "check", "--input", "{csv}"], 0),
-    (["zeta", "moments", "--T", "0", "--H", "1.2735e-319", "--step", "5e-324", "--k", "2"], 2),
-    (["skewdet", "mc", "--n", "4", "--samples", "100", "--threads", "0"], 2),
-    (["theorem", "check", "--input", "{csv}", "--b", "nan"], 2),
-    (["skewdet", "enum", "--n", "0"], 2),
-    (["theorem", "check"], 2),
-], ids=["overflowing-power", "subnormal-step", "threads-0", "b-nan", "enum-n0", "no-input"])
-def test_entry_point_never_shows_a_traceback(tmp_path, argv, code):
-    # the real entry point in its own process: bad input exits 2 with a message
+@pytest.mark.parametrize("argv, code, patch", [
+    (["theorem", "check", "--input", "{csv}"], 0, ""),
+    (["zeta", "moments", "--T", "0", "--H", "1.2735e-319", "--step", "5e-324", "--k", "2"], 2,
+     ""),
+    (["skewdet", "mc", "--n", "4", "--samples", "100", "--threads", "0"], 2, ""),
+    (["theorem", "check", "--input", "{csv}", "--b", "nan"], 2, ""),
+    (["skewdet", "enum", "--n", "0"], 2, ""),
+    (["theorem", "check"], 2, ""),
+    (["symchar", "report", "--n", "5"], 1, WRONG_DEGREES),
+], ids=["overflowing-power", "subnormal-step", "threads-0", "b-nan", "enum-n0", "no-input",
+        "symchar-wrong-degrees"])
+def test_entry_point_never_shows_a_traceback(tmp_path, argv, code, patch):
+    # the real entry point in its own process: bad input exits 2 with a
+    # message, a violated exact check exits 1 with one
     path = tmp_path / "wide.csv"
     path.write_text("value,weight\n1e300,1e-300\n1,1\n", encoding="utf-8")
-    got, out, err = _fresh_interpreter([arg.replace("{csv}", str(path)) for arg in argv])
+    got, out, err = _fresh_interpreter([arg.replace("{csv}", str(path)) for arg in argv], patch)
     assert got == code
     assert "Traceback" not in err
-    assert bool(out) == (code == 0) and bool(err) == (code == 2)
+    assert bool(out) == (code == 0) and bool(err) == (code != 0)
+    if code == 1:
+        assert err.startswith("error: exact inequality violated (bug): ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (["theorem", "check", "--input", GOLDEN_DIST, "--b", "0.5"], ""),
+    (["zeta", "tail", "--T", "100", "--H", "10", "--step", "0.5"], ""),
+    (["symchar", "report", "--n", "5"], ""),
+    (["symchar", "report", "--n", "5"], WRONG_DEGREES),
+], ids=["theorem-check", "zeta-tail", "symchar-report", "symchar-report-wrong-degrees"])
+def test_assert_flag_changes_nothing(argv, patch):
+    # every exact check is enforced without it; the flag is only accepted
+    assert _fresh_interpreter(argv + ["--assert"], patch) == _fresh_interpreter(argv, patch)

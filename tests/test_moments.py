@@ -250,6 +250,13 @@ class TestVerifyTheorem:
         assert [name for name, miss in short.items() if miss] == [missed]
         assert check.holds
 
+    def test_cutoff_at_or_past_a_holds_with_any_tail(self, monkeypatch):
+        # a - b <= 0 <= tail there, so even a zero tail sum passes
+        monkeypatch.setattr(moments, "_tail_sums", lambda d, grid: [0.0] * len(grid))
+        report = verify_theorem(TWO_POINT, [2.0, 3.0])
+        assert [(c.tail, c.lower_bound, c.holds) for c in report.checks] == [
+            (0.0, 0.0, True), (0.0, -1.0, True)]
+
     def test_corrupted_tail_sum_still_raises(self, monkeypatch):
         # the exact check also holds the float tail to its exact value
         tail_sums = moments._tail_sums
@@ -261,6 +268,19 @@ class TestVerifyTheorem:
         monkeypatch.setattr(moments, "moment", lambda d, k: 3.0)
         with pytest.raises(moments.TheoremViolationError, match="max"):
             verify_theorem(TWO_POINT, [])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EmpiricalDistribution(((1.0, 0.5), (1.0, 0.25)), normalized=True), ValueError,
+     "normalized flag set but weights do not sum to 1"),
+    (lambda: max_lower_bound(0.0, 1.0), ValueError, "first moment must be positive"),
+    (lambda: load_distribution_csv(io.StringIO("")), DistributionFormatError,
+     "line 1: empty file, expected `value,weight` header"),
+], ids=["normalized-weights", "max-bound-m1-zero", "empty-csv"])
+def test_guard_rejects(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestMaxLowerBound:
@@ -605,6 +625,18 @@ class TestCsvLoading:
         with pytest.raises(DistributionFormatError) as err:
             load_distribution_csv(io.StringIO("".join(lines)))
         assert (err.value.line, str(err.value)) == (7501, "line 7501: non-positive weight -1.0")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_plain_file_with_a_bad_entry_is_parsed_once(self, monkeypatch, ending):
+        # entry i of a plain file is on line i + 2; csv.reader is not needed to find it
+        def reparse(text):
+            raise AssertionError("a plain file went to csv.reader")
+
+        monkeypatch.setattr(moments, "_parse_rows", reparse)
+        text = ending.join(["value,weight", "1,1", "2,1", "-3,1", ""])
+        with pytest.raises(DistributionFormatError) as err:
+            load_distribution_csv(io.StringIO(text, newline=""))
+        assert (err.value.line, str(err.value)) == (4, "line 4: negative value -3.0")
 
 
 def load_outcome(load, text: str):

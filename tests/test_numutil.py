@@ -222,6 +222,21 @@ def test_logreal_zero():
     assert LogReal(-math.inf).value == 0.0
 
 
+@pytest.mark.parametrize("log, value", [
+    (709.5, 1.3549863193146328e+308),
+    (math.log(sys.float_info.max), 1.7976931348622732e+308),
+    (709.79, math.inf),
+])
+def test_logreal_value_is_exp_up_to_overflow(log, value):
+    # inf only where math.exp itself overflows
+    assert LogReal(log).value == value
+
+
+def test_log_factorial_rejects_negative():
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        log_factorial(-1)
+
+
 def test_logreal_ratio():
     a, b = LogReal(math.log(8.0)), LogReal(math.log(2.0))
     assert a.ratio_to(b) == pytest.approx(4.0, rel=1e-15)
@@ -263,3 +278,8 @@ def test_to_json_metadata_keys():
         "items": [{"x": 4, "y": "b"}],
         "maybe": None,
     }
+
+
+def test_to_json_converts_dict_values():
+    payload = {"report": _Inner(1, "a"), "rows": [_Inner(2, "b")], "n": 3}
+    assert to_json(payload) == {"report": {"x": 1, "y": "a"}, "rows": [{"x": 2, "y": "b"}], "n": 3}

@@ -621,6 +621,34 @@ class TestPfaffians:
         assert peak < 1.98 * 2**20
 
 
+def _stats(**changes):
+    fields = {"n": 2, "mode": "exact", "convention": "zero", "count": 2, "s1": 1.0, "s2": 1.0,
+              "sum_absdet": 2, "sum_det2": 2, "max_abs_det": 1}
+    return DetStats(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SkewSignMatrix(0, ()), "n must be positive"),
+    (lambda: _stats(mode="sampled"), "mode must be 'exact' or 'monte-carlo'"),
+    (lambda: enumerate_stats(0), "n must be positive"),
+    (lambda: mc_stats(0, 100), "n must be positive"),
+    (lambda: det_existence_bound(1), "n must be at least 2"),
+    (lambda: search_high_det(1, 10), "n must be at least 2"),
+    (lambda: search_high_det(4, 0), "budget must be at least 1"),
+], ids=["matrix-n0", "stats-mode", "enum-n0", "mc-n0", "existence-n1", "search-n1",
+        "search-budget-0"])
+def test_guard_rejects(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_pfaffian_of_odd_order_is_zero(n):
+    m = SkewSignMatrix.from_bits(n, 0)
+    assert pfaffian_exact(m) == det_exact(m) == 0
+
+
 class TestUpFrontChecks:
     """A bad convention is rejected before any sign is drawn."""
 

@@ -6,8 +6,12 @@ from math import factorial
 
 import pytest
 
+from momenttail import symchar
+from momenttail.moments import TheoremViolationError
 from momenttail.symchar import (
+    DegreeTable,
     Partition,
+    XiMoments,
     degree,
     degree_table,
     involutions,
@@ -163,6 +167,44 @@ class TestDegreeTable:
             degree_table(0)
         with pytest.raises(ValueError):
             degree_table(61)
+
+    @pytest.mark.parametrize("name, fake, message", [
+        ("degree", lambda lam: 1, "degree squares sum to 7, expected 5!"),
+        ("involutions", lambda n: 1, "degrees sum to 26, expected t(5)"),
+        ("max_degree", property(lambda table: 4), "max degree 4 misses the bound 120 / 26"),
+    ], ids=["squares", "sum", "max-bound"])
+    def test_failed_exact_check_raises(self, monkeypatch, name, fake, message):
+        # each is a theorem on the exact table, so a miss is a bug: exit 1 in the CLI
+        monkeypatch.setattr(DegreeTable if name == "max_degree" else symchar, name, fake)
+        with pytest.raises(TheoremViolationError) as err:
+            degree_table(5)
+        assert str(err.value) == message
+        assert isinstance(err.value, RuntimeError)  # `except RuntimeError` still catches it
+
+
+def test_empty_partition_is_self_conjugate_with_degree_1():
+    empty = Partition(())
+    assert (empty.conjugate(), degree(empty)) == (empty, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: partitions(-1), "n must be non-negative"),
+    (lambda: p_exact(-1), "n must be non-negative"),
+    (lambda: involutions(-1), "n must be non-negative"),
+    (lambda: p_asym_log(0), "n must be positive"),
+    (lambda: involutions_asym(0), "n must be positive"),
+    (lambda: xi_moments(0), "n must be positive"),
+    (lambda: second_moment_degree_bound(0), "n must be positive"),
+    (lambda: max_degree_asym_bound(0), "n must be positive"),
+    (lambda: XiMoments(n=4, p_n=1, t_n=10, e_xi=1.0, e_xi_log=0.0, e_xi2=1.0, e_xi2_log=0.0,
+                       e_xi_asym=1.0, e_xi2_asym=1.0), "moment pair violates Cauchy-Schwarz"),
+], ids=["partitions-neg", "p-exact-neg", "involutions-neg",
+        "p-asym-log-0", "involutions-asym-0", "xi-moments-0", "degree-bound-0",
+        "asym-bound-0", "xi-cauchy-schwarz"])
+def test_guard_rejects(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestXiMoments:

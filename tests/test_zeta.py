@@ -76,6 +76,53 @@ def test_non_finite_c_threshold_rejected(bad):
         tail_moment_report(100.0, 10.0, c_threshold=bad, step=0.5)
 
 
+def _estimate(**changes):
+    fields = {"T": 0.0, "H": 1.0, "k": 2, "value": 1.0, "nodes": 3, "step": 0.5}
+    return zeta.MomentEstimate(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zeta_abs_euler_maclaurin([1.0], n_terms=0), "n_terms must be positive"),
+    (lambda: zeta_abs_riemann_siegel([100.0], correction_terms=3),
+     "correction_terms must be 0, 1 or 2"),
+    (lambda: zeta_abs_riemann_siegel([100.0, 0.0]), "Riemann-Siegel route needs t > 0"),
+    (lambda: ingham_main_term(0.0), "T must be positive"),
+    (lambda: fourth_moment_leading_term(1.0), "T must exceed 1"),
+    (lambda: _estimate(k=3), "k must be 2 or 4"),
+    (lambda: _estimate(H=0.0), "H must be positive"),
+    (lambda: _estimate(nodes=1), "need at least 2 nodes"),
+    (lambda: _estimate(value=-1.0), "moment cannot be negative"),
+    (lambda: moment_integral(-1.0, 10.0, 2), "T must be non-negative"),
+    (lambda: moment_integral(10.0, 10.0, 3), "k must be 2 or 4"),
+    (lambda: tail_moment_report(100.0, 0.0), "H must be positive"),
+    (lambda: tail_moment_report(100.0, 1.0, step=1.0), "step must satisfy 0 < step <= H/10"),
+], ids=["em-n-terms", "rs-correction-terms", "rs-t-zero", "ingham-T0", "fourth-T1",
+        "estimate-k", "estimate-H", "estimate-nodes", "estimate-value", "moments-T-negative",
+        "moments-k3", "tail-H0", "tail-step-H"])
+def test_guard_rejects(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("route", [zeta_abs_euler_maclaurin, zeta_abs_riemann_siegel])
+def test_empty_nodes_give_an_empty_array(route):
+    out = route(np.empty(0))
+    assert (out.shape, out.dtype) == ((0,), np.float64)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: zeta_abs_grid([math.nan]),
+    lambda: zeta_abs_grid([100.0, math.nan]),
+    lambda: zeta_abs(math.nan),
+], ids=["grid-nan", "grid-node-then-nan", "point-nan"])
+@pytest.mark.filterwarnings("error")
+def test_nan_node_rejected_before_any_evaluation(call):
+    with mock.patch.object(zeta, "_eval_grid", side_effect=AssertionError("evaluated")):
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            call()
+
+
 class TestEvaluator:
     def test_value_at_zero_against_eta_oracle(self):
         oracle = zeta_abs_eta_oracle(0.0)
