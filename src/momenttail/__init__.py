@@ -21,11 +21,9 @@ from .moments import (
 from .skewdet import (
     DetStats,
     SkewSignMatrix,
-    det_exact,
     det_existence_bound,
     enumerate_stats,
     mc_stats,
-    pfaffian_exact,
     search_high_det,
     second_moment_det_bound,
     szekeres_s1_asym,
@@ -71,11 +69,9 @@ __all__ = [
     "verify_theorem",
     "DetStats",
     "SkewSignMatrix",
-    "det_exact",
     "det_existence_bound",
     "enumerate_stats",
     "mc_stats",
-    "pfaffian_exact",
     "search_high_det",
     "second_moment_det_bound",
     "szekeres_s1_asym",

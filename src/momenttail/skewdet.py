@@ -18,11 +18,10 @@ diagonal, fraction-free (Bareiss) elimination runs in int64 with no row swaps
 for n <= 16, every pivot being a leading minor det(I + S) >= 1, and above that
 det mod the primes.  The modular kernels are division-free in float64, fix a
 pivot that is 0 mod p by adding a later row, which keeps det and Pf, and the
-CRT rebuilds the exact integer.  Only the scalar reference det_exact
-(_bareiss) still swaps rows and tracks a sign.  Exact enumeration walks one
-matrix per class of conjugation by diagonal +-1 matrices, which leaves det
-unchanged, so it computes 2^((n-1)(n-2)/2) determinants instead of
-2^(n(n-1)/2) and reaches n = 8 in seconds.
+CRT rebuilds the exact integer.  Exact enumeration walks one matrix per
+class of conjugation by diagonal +-1 matrices, which leaves det unchanged, so
+it computes 2^((n-1)(n-2)/2) determinants instead of 2^(n(n-1)/2) and
+reaches n = 8 in seconds.
 
 Witness search flips one sign pair at a time and keeps the first flip that
 raises |det|.  With zero diagonal and even n each climb keeps P = Pf A and the
@@ -39,6 +38,7 @@ matrices (zero diagonal, odd n) need no climb: every determinant there is 0.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache
 from operator import mul
@@ -85,13 +85,6 @@ class SkewSignMatrix:
             raise ValueError("upper-triangle entries must be +1 or -1")
         _require_convention(self.convention)
 
-    @classmethod
-    def from_bits(cls, n: int, bits: int, convention: str = "zero") -> "SkewSignMatrix":
-        """Bit i of `bits` = 1 means +1 in the i-th upper-triangle slot."""
-        m = n * (n - 1) // 2
-        upper = tuple(1 if (bits >> i) & 1 else -1 for i in range(m))
-        return cls(n, upper, convention)
-
     def to_rows(self) -> list[list[int]]:
         signs = np.array([self.upper], dtype=np.int8)
         return _matrices(self.n, signs, self.convention)[0].tolist()
@@ -99,7 +92,7 @@ class SkewSignMatrix:
 
 def _matrices(n: int, signs: np.ndarray, convention: str) -> np.ndarray:
     """(k, n, n) int8 matrices from a (k, m) block of upper-triangle signs, in
-    np.triu_indices slot order (row-major, as SkewSignMatrix.upper and from_bits)."""
+    np.triu_indices slot order (row-major, as SkewSignMatrix.upper)."""
     iu, ju = np.triu_indices(n, k=1)
     mats = np.zeros((len(signs), n, n), dtype=np.int8)
     mats[:, iu, ju] = signs
@@ -107,32 +100,6 @@ def _matrices(n: int, signs: np.ndarray, convention: str) -> np.ndarray:
     if convention == "unit":
         mats[:, range(n), range(n)] = 1
     return mats
-
-
-def _bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; every division below is exact."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def _adjugate(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -245,8 +212,8 @@ def _bareiss_batch(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a (k, n, n) stack of unit-diagonal +-1 skew-type
     matrices (A + A^T = 2I), n <= BATCH_LIMIT.
 
-    The same fraction-free elimination as _bareiss, run on every matrix at
-    once in int64 with no row swaps: the pivot at step c is the leading minor
+    Fraction-free (Bareiss) elimination, run on every matrix at once in
+    int64 with no row swaps: the pivot at step c is the leading minor
     det(I + S_c), S_c skew with eigenvalues 0 and +-i mu, so it is
     prod(1 + mu^2) >= 1.  The stack is held as (n, n, k) so that each
     elementwise step runs over k contiguous values.
@@ -555,39 +522,6 @@ def _block_stats(n: int, signs: np.ndarray, convention: str) -> tuple[int, int, 
     return sum(absdets), sum(squares), sum(map(mul, squares, squares)), max(absdets)
 
 
-def det_exact(matrix: SkewSignMatrix) -> int:
-    """Exact integer determinant (Bareiss elimination)."""
-    return _bareiss(matrix.to_rows())
-
-
-def pfaffian_exact(matrix: SkewSignMatrix) -> int:
-    """Exact Pfaffian by expansion along the first row; zero-diagonal only.
-
-    Cost grows like (n-1)!! so keep n small (<= 12 or so); used as the
-    independent cross-check det = Pf^2.
-    """
-    if matrix.convention != "zero":
-        raise ValueError("Pfaffian is defined for the zero-diagonal convention")
-    if matrix.n % 2:
-        return 0
-    rows = matrix.to_rows()
-
-    def pf(active: tuple[int, ...]) -> int:
-        if not active:
-            return 1
-        i0 = active[0]
-        total = 0
-        sign = 1
-        rest = active[1:]
-        for pos, j in enumerate(rest):
-            sub = rest[:pos] + rest[pos + 1 :]
-            total += sign * rows[i0][j] * pf(sub)
-            sign = -sign
-        return total
-
-    return pf(tuple(range(matrix.n)))
-
-
 @dataclass(frozen=True)
 class DetStats:
     """Exact or sampled moments of |det| over the sign ensemble.
@@ -634,10 +568,10 @@ def enumerate_stats(n: int, convention: str = "zero") -> DetStats:
     # class once with all first-row signs +1.  So walk those representatives
     # and weight each by 2^(n-1).
     classes = 1 << (m - n + 1)
-    parts = [
+    parts = (
         _enum_chunk(n, start, min(start + MC_CHUNK, classes), convention)
         for start in range(0, classes, MC_CHUNK)
-    ]
+    )
     return _det_stats(n, convention, parts, 1 << m, weight=1 << (n - 1))
 
 
@@ -684,23 +618,32 @@ def mc_stats(
     # too short to overlap, so a second thread never paid (with Bareiss,
     # mc_stats(10, 20000), 2 CPUs: 0.097-0.100 s at 1 thread, 0.098-0.103 s
     # at 2)
-    parts = [
+    parts = (
         _mc_chunk(n, seed, i, min(MC_CHUNK, samples - start), convention)
         for i, start in enumerate(range(0, samples, MC_CHUNK))
-    ]
+    )
     return _det_stats(n, convention, parts, samples, seed=seed)
 
 
 def _det_stats(
-    n: int, convention: str, parts: list, count: int, weight: int = 1, seed: int | None = None
+    n: int, convention: str, parts: Iterable, count: int, weight: int = 1,
+    seed: int | None = None,
 ) -> DetStats:
     """DetStats over count matrices from the per-chunk _block_stats sums of
     the matrices walked, each standing for weight of them (enumeration walks
-    one per class).  A seed marks a Monte Carlo estimate, with standard
-    errors from the unbiased sample variances.  Every float is one correctly
-    rounded quotient of exact integers, as int / int rounds once; the
-    variances are >= 0 exactly (Cauchy-Schwarz), so their roundings are too."""
-    sum_abs, sum_d2, sum_d4 = (sum(column) * weight for column in list(zip(*parts))[:3])
+    one per class).  Each chunk is folded into running totals as it comes, so
+    memory does not grow with the chunk count.  A seed marks a Monte Carlo
+    estimate, with standard errors from the unbiased sample variances.  Every
+    float is one correctly rounded quotient of exact integers, as int / int
+    rounds once; the variances are >= 0 exactly (Cauchy-Schwarz), so their
+    roundings are too."""
+    sum_abs = sum_d2 = sum_d4 = max_abs = 0
+    for part_abs, part_d2, part_d4, part_max in parts:
+        sum_abs += part_abs
+        sum_d2 += part_d2
+        sum_d4 += part_d4
+        max_abs = max(max_abs, part_max)
+    sum_abs, sum_d2, sum_d4 = sum_abs * weight, sum_d2 * weight, sum_d4 * weight
     s1 = sum_abs / count
     s2 = math.sqrt(sum_d2 / count)
     stderr_s1 = stderr_s2 = None
@@ -712,7 +655,7 @@ def _det_stats(
     return DetStats(
         n=n, mode="exact" if seed is None else "monte-carlo", convention=convention,
         count=count, s1=s1, s2=s2, sum_absdet=sum_abs, sum_det2=sum_d2,
-        max_abs_det=max(part[3] for part in parts),
+        max_abs_det=max_abs,
         stderr_s1=stderr_s1, stderr_s2=stderr_s2, seed=seed,
     )
 

@@ -74,6 +74,10 @@ EM_BUCKET = 8
 #: node grows like N, so far larger t would run for hours, and near t = 1e30
 #: the prime sieve alone would need petabytes.
 DIRICHLET_MAX_TERMS = 3989
+#: the routes' limits within DIRICHLET_MAX_TERMS terms: Euler-Maclaurin with
+#: its own truncation accepts |t| <= EM_MAX_T, Riemann-Siegel t < RS_MAX_T
+EM_MAX_T = EM_BUCKET * ((DIRICHLET_MAX_TERMS - 8) // (2 * EM_BUCKET))
+RS_MAX_T = 2 * math.pi * (DIRICHLET_MAX_TERMS + 1) ** 2
 
 #: most nodes of a Simpson grid (2^20 intervals; a tail report holds about 90
 #: bytes per node), the half step of a convergence check included: H = 1000 at
@@ -179,19 +183,36 @@ def _em_terms(ts: np.ndarray) -> np.ndarray:
     return np.maximum(16, 2 * EM_BUCKET * buckets + 8)
 
 
+def _check_em(ts: np.ndarray, own_terms: bool = True):
+    """Reject a non-finite t, and with the route's own truncation one past
+    EM_MAX_T, before any node is evaluated; ts is not empty."""
+    if not np.isfinite(ts).all():
+        raise ValueError("t must be finite")
+    top = np.abs(ts).max()
+    if own_terms and top > EM_MAX_T:
+        raise ValueError(
+            f"t = {top.item()!r} is too large for the Euler-Maclaurin "
+            f"route: it accepts t <= {EM_MAX_T} (lower t_switch to use Riemann-Siegel)"
+        )
+
+
 def zeta_abs_euler_maclaurin(ts, n_terms: int | None = None) -> np.ndarray:
     """|zeta(1/2+it)| for an array of t by Euler-Maclaurin summation.
 
     Each node takes N terms from its own bucket of |t| (see _em_terms), so a
     value depends on t alone; n_terms forces one N for every node.  Absolute
     error is far below 1e-6 for t <= ~100; cost is O(N) per point, so keep t
-    moderate.
+    moderate.  t must be finite, and |t| <= EM_MAX_T unless n_terms is given;
+    n_terms is at most DIRICHLET_MAX_TERMS.
     """
     if n_terms is not None and n_terms < 1:
         raise ValueError("n_terms must be positive")
+    if n_terms is not None and n_terms > DIRICHLET_MAX_TERMS:
+        raise ValueError(f"n_terms must be at most {DIRICHLET_MAX_TERMS}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.size == 0:
         return np.empty(0)
+    _check_em(ts, own_terms=n_terms is None)
     N = _em_terms(ts) if n_terms is None else np.full(ts.shape, n_terms, dtype=np.int64)
     s = 0.5 + 1j * ts
     total = _dirichlet(ts, N)
@@ -249,21 +270,34 @@ def _c1_series():
     return cheb.deriv(3) * (-1.0 / (96.0 * math.pi**2))
 
 
+def _check_rs(ts: np.ndarray):
+    """Reject a t that is not in (0, RS_MAX_T), nan and inf included, before
+    any node is evaluated; ts is not empty."""
+    if not np.all(ts > 0):
+        raise ValueError("Riemann-Siegel route needs t > 0")
+    top = ts.max()
+    if top >= RS_MAX_T:
+        raise ValueError(
+            f"t = {top.item()!r} is too large for the Riemann-Siegel "
+            f"route: it accepts t < {RS_MAX_T:.6g} ({DIRICHLET_MAX_TERMS} Dirichlet terms)"
+        )
+
+
 def zeta_abs_riemann_siegel(ts, correction_terms: int = 2) -> np.ndarray:
     """|zeta(1/2+it)| via the Riemann-Siegel main sum plus correction terms.
 
     Main sum length floor(sqrt(t/2pi)).  With 2 correction terms the absolute
     error stays below ~6e-4 for t >= 40 and shrinks like t^(-5/4); with 1 term
     expect a few 1e-3 near t = 50.  Intended for t above the crossover; below
-    ~2pi the main sum is empty and accuracy degrades.
+    ~2pi the main sum is empty and accuracy degrades.  Every t must satisfy
+    0 < t < RS_MAX_T.
     """
     if correction_terms not in (0, 1, 2):
         raise ValueError("correction_terms must be 0, 1 or 2")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.size == 0:
         return np.empty(0)
-    if np.any(ts <= 0):
-        raise ValueError("Riemann-Siegel route needs t > 0")
+    _check_rs(ts)
     a = np.sqrt(ts / (2 * math.pi))
     N = np.floor(a).astype(np.int64)
     p = a - N
@@ -280,24 +314,17 @@ def zeta_abs_riemann_siegel(ts, correction_terms: int = 2) -> np.ndarray:
 
 
 def _check_terms(ts: np.ndarray, cfg: ZetaEvalConfig):
-    """Reject a grid whose Dirichlet sums would exceed DIRICHLET_MAX_TERMS.
+    """Reject a grid whose Dirichlet sums would exceed DIRICHLET_MAX_TERMS,
+    by each route's own check on the nodes it gets.
 
     Both term counts grow with t, so each route's largest t is compared with
     the largest t it accepts; a huge t meets no int64 cast on the way.
     """
     small = ts <= cfg.t_switch
-    em_limit = EM_BUCKET * ((DIRICHLET_MAX_TERMS - 8) // (2 * EM_BUCKET))
-    if small.any() and ts[small].max() > em_limit:
-        raise ValueError(
-            f"t = {ts[small].max().item()!r} is too large for the Euler-Maclaurin "
-            f"route: it accepts t <= {em_limit} (lower t_switch to use Riemann-Siegel)"
-        )
-    rs_limit = 2 * math.pi * (DIRICHLET_MAX_TERMS + 1) ** 2
-    if (~small).any() and ts[~small].max() >= rs_limit:
-        raise ValueError(
-            f"t = {ts[~small].max().item()!r} is too large for the Riemann-Siegel "
-            f"route: it accepts t < {rs_limit:.6g} ({DIRICHLET_MAX_TERMS} Dirichlet terms)"
-        )
+    if small.any():
+        _check_em(ts[small])
+    if (~small).any():
+        _check_rs(ts[~small])
 
 
 def _eval_grid(ts: np.ndarray, cfg: ZetaEvalConfig) -> np.ndarray:

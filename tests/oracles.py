@@ -3,10 +3,12 @@
 Each oracle deliberately avoids the code path it checks: the zeta oracles run
 in mpmath arithmetic with their own series, or (the exp-outer Euler-Maclaurin
 sum and the masked Riemann-Siegel loop) take one transcendental call per
-(node, term) where the package multiplies rows, the determinant oracle is plain
-cofactor expansion, the involution oracle walks every permutation, the
-distribution oracles sum per-entry generators over (value, weight) pairs, and
-the CSV oracle reads every file through csv.reader one row at a time.
+(node, term) where the package multiplies rows, the determinant oracles are
+plain cofactor expansion and scalar Bareiss elimination with row swaps (no
+batched kernel swaps rows), the Pfaffian oracle expands along the first row,
+the involution oracle walks every permutation, the distribution oracles sum
+per-entry generators over (value, weight) pairs, and the CSV oracle reads
+every file through csv.reader one row at a time.
 """
 
 import csv
@@ -22,6 +24,7 @@ from momenttail.moments import (
     EmpiricalDistribution,
     InvalidEntryError,
 )
+from momenttail.skewdet import SkewSignMatrix
 
 
 def zeta_abs_eta_oracle(t: float, terms: int = 10_000, averages: int = 40,
@@ -127,6 +130,74 @@ def det_cofactor(rows: list[list[int]]) -> int:
         sign = 1 if j % 2 == 0 else -1
         total += sign * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def det_bareiss(rows: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss 1968) elimination that
+    swaps rows past a zero pivot and tracks the sign; every division below is
+    exact."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def det_exact(matrix: SkewSignMatrix) -> int:
+    """Exact integer determinant of a sign matrix (det_bareiss)."""
+    return det_bareiss(matrix.to_rows())
+
+
+def pfaffian_exact(matrix: SkewSignMatrix) -> int:
+    """Exact Pfaffian by expansion along the first row; zero-diagonal only.
+
+    Cost grows like (n-1)!! so keep n small (<= 12 or so); used as the
+    independent cross-check det = Pf^2.
+    """
+    if matrix.convention != "zero":
+        raise ValueError("Pfaffian is defined for the zero-diagonal convention")
+    if matrix.n % 2:
+        return 0
+    rows = matrix.to_rows()
+
+    def pf(active: tuple[int, ...]) -> int:
+        if not active:
+            return 1
+        i0 = active[0]
+        total = 0
+        sign = 1
+        rest = active[1:]
+        for pos, j in enumerate(rest):
+            sub = rest[:pos] + rest[pos + 1 :]
+            total += sign * rows[i0][j] * pf(sub)
+            sign = -sign
+        return total
+
+    return pf(tuple(range(matrix.n)))
+
+
+def skew_from_bits(n: int, bits: int, convention: str = "zero") -> SkewSignMatrix:
+    """Bit i of `bits` = 1 means +1 in the i-th upper-triangle slot."""
+    m = n * (n - 1) // 2
+    upper = tuple(1 if (bits >> i) & 1 else -1 for i in range(m))
+    return SkewSignMatrix(n, upper, convention)
 
 
 def involutions_bruteforce(n: int) -> int:

@@ -20,11 +20,8 @@ from momenttail.moments import (
     verify_theorem,
 )
 from momenttail.skewdet import (
-    SkewSignMatrix,
-    det_exact,
     enumerate_stats,
     mc_stats,
-    pfaffian_exact,
     szekeres_s1_asym,
     szekeres_s2_asym,
 )
@@ -44,7 +41,7 @@ from momenttail.zeta import (
     zeta_abs_riemann_siegel,
 )
 
-from oracles import zeta_abs_eta_oracle
+from oracles import det_exact, pfaffian_exact, skew_from_bits, zeta_abs_eta_oracle
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -124,19 +121,28 @@ def test_criterion_4_skew_determinants_exact():
         ok &= stats.s2 >= stats.s1
         bound = stats.s2**2 / stats.s1
         ok &= stats.max_abs_det >= bound * (1 - 1e-6)
-        # matrix-by-matrix det = Pf^2 over the full ensemble
+        # matrix-by-matrix det = Pf^2 over the full ensemble, whose sums must
+        # equal those of the symmetry-reduced walk
         m_bits = n * (n - 1) // 2
+        sum_abs = sum_d2 = max_abs = 0
         for bits in range(1 << m_bits):
-            mat = SkewSignMatrix.from_bits(n, bits)
-            if det_exact(mat) != pfaffian_exact(mat) ** 2:
+            mat = skew_from_bits(n, bits)
+            det = det_exact(mat)
+            if det != pfaffian_exact(mat) ** 2:
                 ok = False
                 break
+            sum_abs += abs(det)
+            sum_d2 += det * det
+            max_abs = max(max_abs, abs(det))
+        ok &= (sum_abs, sum_d2, max_abs) == (
+            stats.sum_absdet, stats.sum_det2, stats.max_abs_det
+        )
         details.append(f"n={n}: s1={stats.s1:.4g} s2={stats.s2:.4g} max={stats.max_abs_det}")
     elapsed = time.perf_counter() - start
     report(
         "4 skew determinants exact regime",
         ok and elapsed < 60.0,
-        "; ".join(details) + f"; det=Pf^2 everywhere; {elapsed:.1f}s < 60s",
+        "; ".join(details) + f"; det=Pf^2 and full-ensemble sums everywhere; {elapsed:.1f}s < 60s",
     )
 
 

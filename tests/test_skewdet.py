@@ -14,11 +14,9 @@ from momenttail.numutil import log_factorial, to_json
 from momenttail.skewdet import (
     DetStats,
     SkewSignMatrix,
-    det_exact,
     det_existence_bound,
     enumerate_stats,
     mc_stats,
-    pfaffian_exact,
     search_high_det,
     second_moment_det_bound,
     szekeres_s1_asym,
@@ -33,7 +31,6 @@ from momenttail.skewdet import (
     PFAFFIAN_LIMIT,
     SearchResult,
     _adjugate,
-    _bareiss,
     _bareiss_batch,
     _block_stats,
     _crt,
@@ -50,7 +47,13 @@ from momenttail.skewdet import (
     _row_starts,
 )
 
-from oracles import det_cofactor
+from oracles import (
+    det_bareiss,
+    det_cofactor,
+    det_exact,
+    pfaffian_exact,
+    skew_from_bits,
+)
 
 
 def all_plus(n, convention="zero"):
@@ -68,7 +71,7 @@ def unreachable(*args, **kwargs):
 
 
 def per_matrix_dets(mats):
-    return [_bareiss(mat.tolist()) for mat in mats]
+    return [det_bareiss(mat.tolist()) for mat in mats]
 
 
 def batch_dets(mats):
@@ -98,7 +101,7 @@ def search_reference(n, budget, seed=0, convention="zero"):
     while evals < budget:
         signs = rng.integers(0, 2, size=(1, len(iu)), dtype=np.int8) * 2 - 1
         mat = _matrices(n, signs, convention)[0]
-        cur_det = abs(_bareiss(mat.tolist()))
+        cur_det = abs(det_bareiss(mat.tolist()))
         evals += 1
         if cur_det > best_det:
             best_det, best_upper = cur_det, tuple(mat[iu, ju].tolist())
@@ -190,7 +193,7 @@ def skew_hadamard_16():
 
 class TestMatrixType:
     def test_round_trip_bits(self):
-        m = SkewSignMatrix.from_bits(4, 0b101011)
+        m = skew_from_bits(4, 0b101011)
         assert m.upper == (1, 1, -1, 1, -1, 1)
         rows = m.to_rows()
         for i in range(4):
@@ -223,7 +226,7 @@ class TestDetExact:
 
     def test_odd_skew_vanishes(self):
         for bits in range(8):
-            assert det_exact(SkewSignMatrix.from_bits(3, bits)) == 0
+            assert det_exact(skew_from_bits(3, bits)) == 0
 
     def test_n4_all_plus_against_cofactor(self):
         m = all_plus(4)
@@ -235,7 +238,7 @@ class TestDetExact:
             for conv in ("zero", "unit"):
                 for _ in range(10):
                     bits = int(rng.integers(0, 1 << (n * (n - 1) // 2)))
-                    m = SkewSignMatrix.from_bits(n, bits, conv)
+                    m = skew_from_bits(n, bits, conv)
                     assert det_exact(m) == det_cofactor(m.to_rows())
 
     def test_pfaffian_squared_equals_det(self):
@@ -243,7 +246,7 @@ class TestDetExact:
         for n in (2, 4, 6, 8, 10):
             for _ in range(5):
                 bits = int(rng.integers(0, 1 << min(n * (n - 1) // 2, 63)))
-                m = SkewSignMatrix.from_bits(n, bits)
+                m = skew_from_bits(n, bits)
                 assert det_exact(m) == pfaffian_exact(m) ** 2
 
     def test_pfaffian_rejects_unit_diagonal(self):
@@ -256,7 +259,7 @@ class TestDetExact:
         for _ in range(20):
             n = 6
             bits = int(rng.integers(0, 1 << 15))
-            m = SkewSignMatrix.from_bits(n, bits)
+            m = skew_from_bits(n, bits)
             rows = m.to_rows()
             perm = rng.permutation(n)
             permuted_upper = tuple(
@@ -283,7 +286,7 @@ class TestBareissBatch:
     def test_unit_pivots_are_positive(self, n):
         # _bareiss_batch's pivots are the leading minors det(I + S_c) >= 1
         for mat in _matrices(n, random_signs(n, 20, key=[n, 15]), "unit"):
-            assert all(_bareiss(mat[:c, :c].tolist()) >= 1 for c in range(1, n + 1))
+            assert all(det_bareiss(mat[:c, :c].tolist()) >= 1 for c in range(1, n + 1))
 
     def test_odd_zero_diagonal_is_singular(self):
         for n in range(3, 17, 2):
@@ -319,7 +322,7 @@ class TestBareissBatch:
             for conv in ("zero", "unit")
         )
         hadamard = skew_hadamard_16()
-        assert abs(_bareiss(hadamard.tolist())) == 16**8
+        assert abs(det_bareiss(hadamard.tolist())) == 16**8
         rng = np.random.Generator(np.random.Philox(key=400))
         for base in (zero, unit, hadamard):
             perms = [rng.permutation(16) for _ in range(30)]
@@ -645,7 +648,7 @@ def test_guard_rejects(call, message):
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_pfaffian_of_odd_order_is_zero(n):
-    m = SkewSignMatrix.from_bits(n, 0)
+    m = skew_from_bits(n, 0)
     assert pfaffian_exact(m) == det_exact(m) == 0
 
 
@@ -682,7 +685,7 @@ class TestEnumeration:
         assert st.count == 64
         # recompute three arbitrary members independently
         for bits in (0, 21, 63):
-            m = SkewSignMatrix.from_bits(4, bits)
+            m = skew_from_bits(4, bits)
             assert det_exact(m) == det_cofactor(m.to_rows())
         # dets are Pf^2 with Pf = x - y + z over independent signs:
         # |det| = 9 on a quarter of the space, 1 elsewhere
@@ -703,7 +706,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_per_matrix_loop(self, n, convention):
         dets = [
-            det_exact(SkewSignMatrix.from_bits(n, bits, convention))
+            det_exact(skew_from_bits(n, bits, convention))
             for bits in range(1 << (n * (n - 1) // 2))
         ]
         st = enumerate_stats(n, convention)
@@ -789,6 +792,21 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    def test_memory_flat_in_chunk_count(self, monkeypatch):
+        # each chunk's sums fold into running totals, so 4000 chunks peak no
+        # higher than 1000 do; a list of per-chunk sums grew by about 0.7 MiB
+        monkeypatch.setattr(skewdet, "MC_CHUNK", 100)
+        mc_stats(4, 100, seed=1)  # first-call allocations out of the way
+        peaks = []
+        for chunks in (1000, 4000):
+            tracemalloc.start()
+            try:
+                mc_stats(4, chunks * 100, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 2**10
 
     def test_bad_threads_rejected(self):
         with pytest.raises(ValueError, match="threads"):
@@ -1008,7 +1026,7 @@ class TestFlipUpdates:
     def test_adjugate_det_matches_bareiss(self, n, convention):
         # search takes its start determinant from the start state of a climb
         for rows in random_rows(n, convention, [n, 14]):
-            assert start_det_adj(rows, convention)[0] == _bareiss(rows)
+            assert start_det_adj(rows, convention)[0] == det_bareiss(rows)
 
     def test_adjugate_rejects_singular(self):
         # a zero pivot: every zero-diagonal matrix, singular (odd n) or not
@@ -1025,7 +1043,7 @@ class TestFlipUpdates:
                 det, adj = _adjugate(rows)
             for i in range(n):
                 for j in range(i + 1, n):
-                    expected = _bareiss(flipped(rows, i, j))
+                    expected = det_bareiss(flipped(rows, i, j))
                     if convention == "zero":
                         assert (pf + 2 * rows[i][j] * int(cof[i, j])) ** 2 == expected
                     else:
@@ -1046,7 +1064,7 @@ class TestFlipUpdates:
                     new_cof = _pfaffian_flip(pf, new_pf, cof, i, j, rows[i][j])
                     assert_same_state((new_pf, new_cof), pfaffian_state(new_rows))
                 else:
-                    new_det = _bareiss(new_rows)
+                    new_det = det_bareiss(new_rows)
                     new_adj = _flip_adjugate(det, new_det, adj, i, j, rows[i][j])
                     assert _adjugate(new_rows) == (new_det, new_adj)
 
@@ -1062,7 +1080,7 @@ class TestFlipUpdates:
             new_det = _flip_det(det, adj, i, j, rows[i][j])
             adj = _flip_adjugate(det, new_det, adj, i, j, rows[i][j])
             rows, det = flipped(rows, i, j), new_det
-        assert det == _bareiss(rows)
+        assert det == det_bareiss(rows)
         assert _adjugate(rows) == (det, adj)
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -1089,7 +1107,7 @@ class TestPfaffianState:
             pf, cof = pfaffian_state(rows)
             assert cof.dtype == (np.int64 if n <= CLIMB_LIMIT else object)
             assert pf == _pfaffians(n, upper_signs(rows)[None])[0]
-            assert pf * pf == _bareiss(rows)
+            assert pf * pf == det_bareiss(rows)
             # A (P C) = P^2 I fixes P C = adj A, A being invertible
             identity = [[pf * pf * (i == j) for j in range(n)] for i in range(n)]
             assert times(rows, (pf * cof).tolist()) == identity
@@ -1140,7 +1158,7 @@ class TestPfaffianState:
 
 
 class TestSearchMatchesReference:
-    """search_high_det against the one-_bareiss-per-flip reference climb,
+    """search_high_det against the one-det_bareiss-per-flip reference climb,
     including budgets that stop mid-sweep and the D = 0 path at odd n."""
 
     @pytest.mark.parametrize("convention", ["zero", "unit"])

@@ -96,12 +96,33 @@ def _estimate(**changes):
     (lambda: moment_integral(10.0, 10.0, 3), "k must be 2 or 4"),
     (lambda: tail_moment_report(100.0, 0.0), "H must be positive"),
     (lambda: tail_moment_report(100.0, 1.0, step=1.0), "step must satisfy 0 < step <= H/10"),
+    # each route rejects what it cannot sum within DIRICHLET_MAX_TERMS terms
+    (lambda: zeta_abs_euler_maclaurin([math.nan]), "t must be finite"),
+    (lambda: zeta_abs_euler_maclaurin([math.inf]), "t must be finite"),
+    (lambda: zeta_abs_euler_maclaurin([100.0, math.nan]), "t must be finite"),
+    (lambda: zeta_abs_euler_maclaurin([1e9]),
+     "t = 1000000000.0 is too large for the Euler-Maclaurin route: it accepts t <= 1984 "
+     "(lower t_switch to use Riemann-Siegel)"),
+    (lambda: zeta_abs_euler_maclaurin([1.0], n_terms=10**10), "n_terms must be at most 3989"),
+    (lambda: zeta_abs_riemann_siegel([math.nan]), "Riemann-Siegel route needs t > 0"),
+    (lambda: zeta_abs_riemann_siegel([math.inf]),
+     "t = inf is too large for the Riemann-Siegel route: it accepts t < 1.00029e+08 "
+     "(3989 Dirichlet terms)"),
+    (lambda: zeta_abs_riemann_siegel([100.0, math.nan]), "Riemann-Siegel route needs t > 0"),
+    (lambda: zeta_abs_riemann_siegel([1e30]),
+     "t = 1e+30 is too large for the Riemann-Siegel route: it accepts t < 1.00029e+08 "
+     "(3989 Dirichlet terms)"),
 ], ids=["em-n-terms", "rs-correction-terms", "rs-t-zero", "ingham-T0", "fourth-T1",
         "estimate-k", "estimate-H", "estimate-nodes", "estimate-value", "moments-T-negative",
-        "moments-k3", "tail-H0", "tail-step-H"])
+        "moments-k3", "tail-H0", "tail-step-H", "em-nan", "em-inf", "em-node-then-nan",
+        "em-t-past-cap", "em-n-terms-past-cap", "rs-nan", "rs-inf", "rs-node-then-nan",
+        "rs-t-past-cap"])
+@pytest.mark.filterwarnings("error")
 def test_guard_rejects(call, message):
-    with pytest.raises(ValueError) as err:
-        call()
+    # no node is evaluated, and nothing sized by t is allocated
+    with mock.patch.object(zeta, "_dirichlet", side_effect=AssertionError("evaluated")):
+        with pytest.raises(ValueError) as err:
+            call()
     assert str(err.value) == message
 
 
