@@ -251,10 +251,13 @@ def moment(dist: EmpiricalDistribution, k: int) -> float:
     if k < 1:
         raise ValueError("k must be a positive integer")
     try:
-        # memoryview iterates an array as Python floats without building a list
-        powers = np.fromiter(map(math.pow, memoryview(dist.values), repeat(float(k))),
-                             np.float64, len(dist.values))
-        with np.errstate(over="ignore"):  # an inf product makes the sum inf, as in fsum
+        # float_power's float64 loop calls libm pow per element, as math.pow
+        # does; np.power may take a SIMD loop that is not bit-equal to it
+        with np.errstate(over="ignore"):
+            powers = np.float_power(dist.values, k)
+            if not np.isfinite(powers).all():  # values are finite: math.pow would raise
+                raise OverflowError
+            # an inf product makes the sum inf, as in fsum
             np.multiply(dist.weights, powers, out=powers)
         total = compensated_sum(powers)
     except OverflowError:

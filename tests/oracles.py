@@ -234,7 +234,21 @@ def normalize_oracle(pairs) -> tuple[tuple[float, float], ...]:
 
 
 def moment_oracle(pairs, k: int) -> float:
-    return math.fsum(w * v**k for v, w in pairs) / total_weight_oracle(pairs)
+    """sum(w * v^k) / sum(w) with one math.pow per entry.  Where the power
+    overflows, the term is (w * v) * v ... instead, and ValueError if that is
+    past float64 too; a finite sum past float64 raises OverflowError."""
+    terms = []
+    for v, w in pairs:
+        try:
+            terms.append(w * math.pow(v, k))
+        except OverflowError:
+            term = w
+            for _ in range(k):
+                term *= v
+            if term == math.inf:
+                raise ValueError(f"weight {w!r} * value {v!r}^{k} is past float64") from None
+            terms.append(term)
+    return math.fsum(terms) / total_weight_oracle(pairs)
 
 
 def tail_second_moment_oracle(pairs, b: float) -> float:

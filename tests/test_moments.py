@@ -421,6 +421,37 @@ def test_moment_keeps_python_power():
         assert [moment(d, k) for k in (2, 3, 4)] == [x**2, x**3, x**4]
 
 
+# values from subnormal to 1e300, with powers past float64 for k >= 2, and
+# weights small enough that some of those terms are finite even so
+pow_values = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e75, max_value=1e300),
+    st.sampled_from([0.0, 1.0, 1e77, 1e103, 1e154, 1e300]),
+)
+pow_dists = st.lists(
+    st.tuples(pow_values, st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
+                                     st.floats(min_value=1e-3, max_value=1e3))),
+    min_size=1, max_size=40,
+)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, OverflowError) as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pow_dists, st.integers(1, 4))
+@example([(1e300, 1e-300), (2.0, 1.0)], 2)  # a power past float64, its term finite
+@example([(1e103, 1.0), (1.0, 1.0)], 3)  # a power and its term past float64
+def test_moment_equals_pow_map(pairs, k):
+    # results are non-negative floats or exception types, so == is bit for bit
+    assert _outcome(moment, dist(*pairs), k) == _outcome(moment_oracle, pairs, k)
+
+
 @settings(max_examples=300, deadline=None)
 @given(wide_dists)
 def test_tail_equals_generator_form(pairs):

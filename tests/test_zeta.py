@@ -104,6 +104,18 @@ def _estimate(**changes):
      "t = 1000000000.0 is too large for the Euler-Maclaurin route: it accepts t <= 1984 "
      "(lower t_switch to use Riemann-Siegel)"),
     (lambda: zeta_abs_euler_maclaurin([1.0], n_terms=10**10), "n_terms must be at most 3989"),
+    (lambda: zeta_abs_euler_maclaurin([1e5], n_terms=100),
+     "n_terms = 100 is too few for t = 100000.0: the Euler-Maclaurin route needs at least "
+     "ceil(2|t|) + 8 = 200008 terms"),
+    (lambda: zeta_abs_euler_maclaurin([10.0, -60.0], n_terms=1),
+     "n_terms = 1 is too few for t = 60.0: the Euler-Maclaurin route needs at least "
+     "ceil(2|t|) + 8 = 128 terms"),
+    (lambda: zeta_abs_euler_maclaurin([60.25], n_terms=128),
+     "n_terms = 128 is too few for t = 60.25: the Euler-Maclaurin route needs at least "
+     "ceil(2|t|) + 8 = 129 terms"),
+    (lambda: zeta_abs_euler_maclaurin([2.0**1023], n_terms=3989),
+     f"n_terms = 3989 is too few for t = {2.0**1023!r}: the Euler-Maclaurin route needs at "
+     f"least ceil(2|t|) + 8 = {2**1024 + 8} terms"),
     (lambda: zeta_abs_riemann_siegel([math.nan]), "Riemann-Siegel route needs t > 0"),
     (lambda: zeta_abs_riemann_siegel([math.inf]),
      "t = inf is too large for the Riemann-Siegel route: it accepts t < 1.00029e+08 "
@@ -115,8 +127,9 @@ def _estimate(**changes):
 ], ids=["em-n-terms", "rs-correction-terms", "rs-t-zero", "ingham-T0", "fourth-T1",
         "estimate-k", "estimate-H", "estimate-nodes", "estimate-value", "moments-T-negative",
         "moments-k3", "tail-H0", "tail-step-H", "em-nan", "em-inf", "em-node-then-nan",
-        "em-t-past-cap", "em-n-terms-past-cap", "rs-nan", "rs-inf", "rs-node-then-nan",
-        "rs-t-past-cap"])
+        "em-t-past-cap", "em-n-terms-past-cap", "em-n-terms-below-2t-1e5",
+        "em-n-terms-below-2t-60", "em-n-terms-one-short", "em-n-terms-2t-past-float64",
+        "rs-nan", "rs-inf", "rs-node-then-nan", "rs-t-past-cap"])
 @pytest.mark.filterwarnings("error")
 def test_guard_rejects(call, message):
     # no node is evaluated, and nothing sized by t is allocated
@@ -255,12 +268,38 @@ class TestDirichletKernel:
             ref = float(abs(mp.zeta(mp.mpc(0.5, t))))
         assert zeta_abs_euler_maclaurin([t])[0] == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("t, N", [(0.0, 16), (3.0, 24), (150.0, 313), (1000.0, 12)])
-    def test_sums_against_mpmath(self, t, N):
+    @pytest.mark.parametrize("t, N, tol", [
+        (0.0, 16, 1e-12), (3.0, 24, 1e-12), (150.0, 313, 1e-12), (1000.0, 12, 1e-12),
+        # the phase t log n is itself rounded, by up to about t log N 2^-53, so
+        # the bound is t log N 2^-52 sum n^(-1/2) (measured 2.1e-10 and 7.1e-8)
+        (1e6, 398, 5.2e-8), (1e8, 3989, 2.3e-5),
+    ], ids=["0.0-16", "3.0-24", "150.0-313", "1000.0-12", "1000000.0-398", "100000000.0-3989"])
+    def test_sums_against_mpmath(self, t, N, tol):
         with mp.workdps(30):
             s = mp.mpc(0.5, t)
             ref = complex(mp.fsum(mp.power(n, -s) for n in range(1, N + 1)))
-        assert abs(zeta._dirichlet([t], N)[0] - ref) <= 1e-12
+        assert abs(zeta._dirichlet([t], N)[0] - ref) <= tol
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 2**-0.5, 3989**-0.5])
+    def test_cis_against_mpmath(self, scale):
+        rng = np.random.default_rng(25)
+        # floats within two ulps of k pi: u = tan(phase / 2) near 0 at even k
+        # and near its largest at odd k (1.6e18 at k = 29)
+        ks = np.concatenate((np.arange(1, 41), rng.integers(41, 4e8 / math.pi, 60)))
+        with mp.workdps(30):
+            near = np.array([float(int(k) * mp.pi) for k in ks])
+        for _ in range(2):
+            near = np.concatenate((near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)))
+        phases = np.concatenate(([0.0, -0.0], near, -near, rng.uniform(-4e8, 4e8, 1000),
+                                 rng.uniform(-10.0, 10.0, 200)))
+        assert np.abs(np.tan(0.5 * phases)).max() > 1e18
+        got = zeta._cis(phases, scale)
+        assert np.isfinite(got).all()
+        with mp.workdps(30):
+            err = max(max(abs(g.real - scale * mp.cos(p)), abs(g.imag - scale * mp.sin(p)))
+                      for p, g in zip(phases.tolist(), got.tolist()))
+        assert err <= 4e-16 * scale
 
     def test_per_node_bounds(self):
         ts = np.array([5.0, 120.0, 0.3, 60.0, 7.5])
@@ -295,7 +334,7 @@ class TestDirichletKernel:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=20),
-           st.integers(1, 300))
+           st.integers(128, 300))  # ceil(2 * 60) + 8 = 128 terms at least
     def test_n_terms_honoured(self, ts, n_terms):
         got = zeta_abs_euler_maclaurin(ts, n_terms=n_terms)
         ref = zeta_abs_em_exp_outer(ts, n_terms=n_terms)
