@@ -28,8 +28,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import repeat
+from functools import cached_property
 from operator import mul
 from typing import IO
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from .numutil import compensated_sum, exact_sums
 
-#: tolerance for "is normalized" bookkeeping (weights sum to 1, mean 1)
+#: margin above 1 within which a second moment a counts as degenerate (a <= 1)
 NORM_TOL = 1e-12
 #: tolerance for inequality checks on normalized quantities
 CHECK_TOL = 1e-9
@@ -88,11 +87,12 @@ class EmpiricalDistribution:
     `entries` is any sequence of (value, weight) pairs or a (k, 2) array; it
     is copied into a read-only (k, 2) float64 array, whose columns are
     `values` and `weights`.  Input order and duplicates are kept as-is.
-    `normalized` marks distributions whose weights sum to 1 and whose mean is
-    1 (within NORM_TOL); it is what `normalize` produces.
+    Construction checks each entry, not the sums: `normalize` gives a unit
+    mean up to rounding, and check_tail_inequality settles a rounding miss
+    exactly.
     """
 
-    def __init__(self, entries, normalized: bool = False):
+    def __init__(self, entries):
         pairs = np.array(entries, dtype=np.float64)
         if len(pairs) == 0:
             raise ValueError("distribution needs at least one entry")
@@ -101,12 +101,7 @@ class EmpiricalDistribution:
         pairs.flags.writeable = False
         values, weights = pairs[:, 0], pairs[:, 1]
         _check_entries(values, weights)
-        vars(self).update(entries=pairs, values=values, weights=weights, normalized=normalized)
-        if normalized:
-            if abs(self.total_weight - 1.0) > NORM_TOL:
-                raise ValueError("normalized flag set but weights do not sum to 1")
-            if abs(self.mean - 1.0) > NORM_TOL:
-                raise ValueError("normalized flag set but mean is not 1")
+        vars(self).update(entries=pairs, values=values, weights=weights)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -236,7 +231,7 @@ def normalize(dist: EmpiricalDistribution) -> EmpiricalDistribution:
             f"weight/total weight underflows float64: entry {i} has weight "
             f"{dist.weights[i].item()!r} and the total weight is {dist.total_weight!r}"
         )
-    return EmpiricalDistribution(np.column_stack((values, weights)), normalized=True)
+    return EmpiricalDistribution(np.column_stack((values, weights)))
 
 
 def moment(dist: EmpiricalDistribution, k: int) -> float:
@@ -245,36 +240,29 @@ def moment(dist: EmpiricalDistribution, k: int) -> float:
     v^k is libm pow per element, as Python's v**k computes it; it is not
     always bit-equal to v*v or to numpy's power.  Only where v^k overflows is
     the term formed as (w * v) * v ... instead, as the tail sums form it for
-    k = 2, which is finite for small w; a term past float64 even so raises
-    ValueError.
+    k = 2, which is finite for small w; the first such term past float64 even
+    so raises ValueError naming its entry, before any sum is formed.  Both
+    forms are array operations.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    try:
-        # float_power's float64 loop calls libm pow per element, as math.pow
-        # does; np.power may take a SIMD loop that is not bit-equal to it
-        with np.errstate(over="ignore"):
-            powers = np.float_power(dist.values, k)
-            if not np.isfinite(powers).all():  # values are finite: math.pow would raise
-                raise OverflowError
-            # an inf product makes the sum inf, as in fsum
-            np.multiply(dist.weights, powers, out=powers)
-        total = compensated_sum(powers)
-    except OverflowError:
-        entries = zip(dist.values.tolist(), dist.weights.tolist())
-        total = compensated_sum(_moment_term(i, v, w, k) for i, (v, w) in enumerate(entries))
-    return total / dist.total_weight
-
-
-def _moment_term(i: int, v: float, w: float, k: int) -> float:
-    """w * v^k of entry i, as moment forms it."""
-    try:
-        return w * math.pow(v, k)
-    except OverflowError:
-        term = reduce(mul, repeat(v, k), w)  # (w * v) * v ...
-        if term < math.inf:
-            return term
-        raise ValueError(f"entry {i}: weight {w!r} * value {v!r}^{k} is past float64") from None
+    # float_power's float64 loop calls libm pow per element, as math.pow
+    # does; np.power may take a SIMD loop that is not bit-equal to it
+    with np.errstate(over="ignore"):
+        terms = np.float_power(dist.values, k)
+        over = None if np.isfinite(terms).all() else np.flatnonzero(np.isinf(terms))
+        terms *= dist.weights  # an inf product makes the sum inf, as in fsum
+        if over is not None:
+            values, redone = dist.values[over], dist.weights[over]
+            for _ in range(k):
+                redone *= values
+            past = np.isinf(redone)
+            if past.any():
+                i = over[np.argmax(past)].item()
+                raise ValueError(f"entry {i}: weight {dist.weights[i].item()!r} * value "
+                                 f"{dist.values[i].item()!r}^{k} is past float64")
+            terms[over] = redone
+    return compensated_sum(terms) / dist.total_weight
 
 
 def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:

@@ -156,9 +156,6 @@ class LogReal:
         except OverflowError:
             return math.inf
 
-    def __float__(self) -> float:
-        return self.value
-
     def ratio_to(self, other: "LogReal") -> float:
         """self / other evaluated in log space."""
         return math.exp(self.log - other.log)

@@ -62,6 +62,13 @@ def _require_convention(convention: str):
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
 
 
+def _require_seed(seed: int):
+    # Philox is keyed by the seed as one uint64 word: a seed outside it would
+    # draw the samples of the one it aliases while reporting its own value
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _all_singular(n: int, convention: str) -> bool:
     """Zero diagonal and odd n: every det A = det(-A^T) = -det A is 0."""
     return convention == "zero" and n % 2 == 1
@@ -587,7 +594,7 @@ def _enum_chunk(n: int, start: int, stop: int, convention: str):
 
 def _mc_chunk(n: int, seed: int, chunk_index: int, size: int, convention: str):
     """Statistics over one counter-keyed substream; schedule-independent."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_index], dtype=np.uint64)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     signs = rng.integers(0, 2, size=(size, n * (n - 1) // 2), dtype=np.int8) * 2 - 1
     return _block_stats(n, signs, convention)
@@ -613,6 +620,7 @@ def mc_stats(
         raise ValueError(f"n must be at most {N_LIMIT}")
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    _require_seed(seed)
     resolve_threads(threads)
     # chunks run serially: the numpy steps of the int64 batched kernels are
     # too short to overlap, so a second thread never paid (with Bareiss,
@@ -878,7 +886,8 @@ def search_high_det(
         raise ValueError(f"n must be at most {N_LIMIT}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    _require_seed(seed)
+    key = np.array([seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     m = n * (n - 1) // 2
 

@@ -238,7 +238,7 @@ def moment_oracle(pairs, k: int) -> float:
     overflows, the term is (w * v) * v ... instead, and ValueError if that is
     past float64 too; a finite sum past float64 raises OverflowError."""
     terms = []
-    for v, w in pairs:
+    for i, (v, w) in enumerate(pairs):
         try:
             terms.append(w * math.pow(v, k))
         except OverflowError:
@@ -246,7 +246,7 @@ def moment_oracle(pairs, k: int) -> float:
             for _ in range(k):
                 term *= v
             if term == math.inf:
-                raise ValueError(f"weight {w!r} * value {v!r}^{k} is past float64") from None
+                raise ValueError(f"entry {i}: weight {w!r} * value {v!r}^{k} is past float64") from None
             terms.append(term)
     return math.fsum(terms) / total_weight_oracle(pairs)
 

@@ -265,6 +265,22 @@ class TestFlagHandling:
         assert out == ""
         assert "at most 80" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["skewdet", "mc", "--n", "8", "--samples", "1000"],
+            ["skewdet", "search", "--n", "8", "--budget", "10"],
+            ["repro"],
+        ],
+        ids=["mc", "search", "repro"],
+    )
+    def test_seed_outside_uint64_exits_2(self, capsys, argv, seed):
+        # a seed outside [0, 2**64) would alias one inside it
+        code, out, err = run(capsys, argv + ["--seed", seed])
+        assert (code, out) == (2, "")
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
     @pytest.mark.parametrize(
         "argv, name",
         [
@@ -556,3 +572,13 @@ def test_entry_point_never_shows_a_traceback(tmp_path, argv, code, patch):
 def test_assert_flag_changes_nothing(argv, patch):
     # every exact check is enforced without it; the flag is only accepted
     assert _fresh_interpreter(argv + ["--assert"], patch) == _fresh_interpreter(argv, patch)
+
+
+def test_version_has_one_source():
+    # pyproject reads the version from the package, so reports and metadata agree
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8"))
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "momenttail.__version__"}

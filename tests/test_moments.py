@@ -57,16 +57,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dist((1.0, 0.0))
 
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution(((5.0, 1.0),), normalized=True)
-
 
 class TestNormalize:
     def test_identity_case(self):
         out = normalize(TWO_POINT)
         assert out.entries.tolist() == [[2.0, 0.5], [0.0, 0.5]]
-        assert out.normalized
 
     def test_scaling_by_half(self):
         out = normalize(dist((4.0, 0.5), (0.0, 0.5)))
@@ -147,6 +142,33 @@ class TestNormalize:
         )
 
 
+# values from subnormal to 1e300, with powers past float64 for k >= 2, and
+# weights from subnormal up, small enough that some of those terms are finite
+# even so and some are near the top of the float64 range
+pow_values = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e75, max_value=1e300),
+    st.sampled_from([0.0, 1.0, 1e77, 1e103, 1e154, 1e300]),
+)
+pow_weights = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-300, max_value=1e-3),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+pow_dists = st.lists(st.tuples(pow_values, pow_weights), min_size=1, max_size=40)
+# the same with values up to 1e75, whose powers up to the 4th are finite
+finite_pow_dists = st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e75), pow_weights),
+                            min_size=1, max_size=40)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+
+
 class TestMoment:
     def test_two_point_second(self):
         assert moment(TWO_POINT, 2) == pytest.approx(2.0)
@@ -184,11 +206,13 @@ class TestMoment:
         with pytest.raises(ValueError, match=f"entry 1: weight 2.0 \\* value 1e\\+200\\^{k} is past"):
             moment(dist((1.0, 1.0), (1e200, 2.0)), k)
 
-    def test_finite_powers_keep_one_pass(self, monkeypatch):
-        # only an OverflowError leaves the map / fsum pass
-        monkeypatch.setattr(moments, "_moment_term", mock.Mock(side_effect=AssertionError))
-        d = dist((1e150, 1e-300), (3.0, 2.0), (0.0, 1.0))
-        assert moment(d, 2) == math.fsum([1e-300 * 1e150**2, 2.0 * 9.0]) / d.total_weight
+    @settings(max_examples=100, deadline=None)
+    @given(finite_pow_dists, st.integers(1, 4))
+    def test_finite_powers_keep_one_pass(self, pairs, k):
+        # where no power overflows, every term is w * pow(v, k): no entry
+        # takes the (w * v) * v ... form
+        want = math.fsum(w * math.pow(v, k) for v, w in pairs) / total_weight_oracle(pairs)
+        assert moment(dist(*pairs), k) == want
 
 
 class TestTailSecondMoment:
@@ -271,12 +295,10 @@ class TestVerifyTheorem:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: EmpiricalDistribution(((1.0, 0.5), (1.0, 0.25)), normalized=True), ValueError,
-     "normalized flag set but weights do not sum to 1"),
     (lambda: max_lower_bound(0.0, 1.0), ValueError, "first moment must be positive"),
     (lambda: load_distribution_csv(io.StringIO("")), DistributionFormatError,
      "line 1: empty file, expected `value,weight` header"),
-], ids=["normalized-weights", "max-bound-m1-zero", "empty-csv"])
+], ids=["max-bound-m1-zero", "empty-csv"])
 def test_guard_rejects(call, error, message):
     with pytest.raises(error) as err:
         call()
@@ -421,34 +443,15 @@ def test_moment_keeps_python_power():
         assert [moment(d, k) for k in (2, 3, 4)] == [x**2, x**3, x**4]
 
 
-# values from subnormal to 1e300, with powers past float64 for k >= 2, and
-# weights small enough that some of those terms are finite even so
-pow_values = st.one_of(
-    st.floats(min_value=5e-324, max_value=1e-300),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=1e75, max_value=1e300),
-    st.sampled_from([0.0, 1.0, 1e77, 1e103, 1e154, 1e300]),
-)
-pow_dists = st.lists(
-    st.tuples(pow_values, st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
-                                     st.floats(min_value=1e-3, max_value=1e3))),
-    min_size=1, max_size=40,
-)
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except (ValueError, OverflowError) as err:
-        return type(err)
-
-
 @settings(max_examples=300, deadline=None)
 @given(pow_dists, st.integers(1, 4))
 @example([(1e300, 1e-300), (2.0, 1.0)], 2)  # a power past float64, its term finite
 @example([(1e103, 1.0), (1.0, 1.0)], 3)  # a power and its term past float64
+# terms that sum past float64 ahead of a term past float64: that entry is named
+@example([(1e300, 1e-292), (1e300, 1e-292), (1e200, 2.0)], 2)
 def test_moment_equals_pow_map(pairs, k):
-    # results are non-negative floats or exception types, so == is bit for bit
+    # results are non-negative floats or (type, message) pairs, so == is bit
+    # for bit, and a ValueError names the same entry
     assert _outcome(moment, dist(*pairs), k) == _outcome(moment_oracle, pairs, k)
 
 
@@ -553,7 +556,7 @@ class TestArrayStorage:
 
     def test_distribution_is_immutable(self):
         with pytest.raises(AttributeError):
-            TWO_POINT.normalized = True
+            TWO_POINT.values = np.zeros(2)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="pairs"):

@@ -94,7 +94,7 @@ def search_reference(n, budget, seed=0, convention="zero"):
     flipped matrices, in slot order and batched determinant calls, and takes
     the first that improves.  The O(1) flip evaluation must reproduce it value
     for value, evaluation count included."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     iu, ju = np.triu_indices(n, k=1)
     best_upper, best_det, evals = (), -1, 0
