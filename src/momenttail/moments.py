@@ -242,7 +242,8 @@ def moment(dist: EmpiricalDistribution, k: int) -> float:
     the term formed as (w * v) * v ... instead, as the tail sums form it for
     k = 2, which is finite for small w; the first such term past float64 even
     so raises ValueError naming its entry, before any sum is formed.  Both
-    forms are array operations.
+    forms are array operations.  A sum of finite terms that rounds past
+    float64 raises ValueError too.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -262,7 +263,11 @@ def moment(dist: EmpiricalDistribution, k: int) -> float:
                 raise ValueError(f"entry {i}: weight {dist.weights[i].item()!r} * value "
                                  f"{dist.values[i].item()!r}^{k} is past float64")
             terms[over] = redone
-    return compensated_sum(terms) / dist.total_weight
+    try:
+        total = compensated_sum(terms)
+    except OverflowError:
+        raise _sum_past_float64(f"moment {k}", f"w * v^{k}") from None
+    return total / dist.total_weight
 
 
 def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:
@@ -277,12 +282,23 @@ def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:
 def _tail_sums(dist: EmpiricalDistribution, b_grid: Sequence[float]) -> list[float]:
     """For each b of b_grid, the sum of (w * v) * v over v > b, as math.fsum
     gives it: exactly rounded, inf when an infinite term is in it, and
-    OverflowError when a finite sum rounds past float64.  One exact_sums pass
+    ValueError when a finite sum rounds past float64.  One exact_sums pass
     keyed by value serves every cutoff."""
     with np.errstate(over="ignore"):  # an inf term makes its sums inf, as in fsum
         terms = dist.weights * dist.values
         terms *= dist.values
-    return exact_sums(terms, dist.values, b_grid)
+    try:
+        return exact_sums(terms, dist.values, b_grid)
+    except OverflowError:
+        raise _sum_past_float64("tail second moment", "w * v^2 above a cutoff") from None
+
+
+def _sum_past_float64(quantity: str, terms: str) -> ValueError:
+    """The error for a finite sum that rounds past float64.  fsum and the
+    binned pass raise different OverflowErrors, by the entry count; this one
+    names the quantity."""
+    return ValueError(
+        f"{quantity} overflows float64: the terms {terms} sum past {sys.float_info.max!r}")
 
 
 def verify_theorem(

@@ -1,10 +1,10 @@
 """Exact character-degree combinatorics of the symmetric group.
 
-Degrees come from the hook length formula (n! divided by the product of hook
-lengths), so every number in a table is an exact integer.  Two classical
-identities tie the tables together and serve as verification anchors: the
-degrees sum to the involution count t(n), and their squares sum to n!.
-degree_table checks both, and the tail bound max >= n!/t(n) in exact
+Degrees come from Frobenius' formula, the hook length formula reduced to the
+first-column hook lengths, so every number in a table is an exact integer.
+Two classical identities tie the tables together and serve as verification
+anchors: the degrees sum to the involution count t(n), and their squares sum
+to n!.  degree_table checks both, and the tail bound max >= n!/t(n) in exact
 integers, and raises TheoremViolationError on a miss.
 Asymptotic companions (partition counts, involution counts, moment formulas)
 are evaluated in log space and only ever reported as ratios, never asserted:
@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from itertools import combinations, starmap
+from math import factorial, prod
+from operator import sub
 
 from .moments import TheoremViolationError
 from .numutil import LogReal, log_factorial
@@ -61,28 +63,21 @@ def partitions(n: int) -> list[Partition]:
         raise ValueError("n must be non-negative")
     if n > N_GUARD:
         raise ValueError(f"n is capped at {N_GUARD} (p(n) grows too fast beyond)")
-    if n == 0:
-        return [Partition(())]
     out = []
-    part = [n]
+    part = [n] if n else []
     while True:
         out.append(Partition(tuple(part)))
-        # decrement the rightmost part above 1, then repack the freed units
-        i = len(part) - 1
-        ones = 0
-        while i >= 0 and part[i] == 1:
-            ones += 1
-            i -= 1
-        if i < 0:
+        # parts weakly decrease, so the 1s are last: drop them, decrement the
+        # last part left and repack the freed units in parts no larger
+        ones = part.count(1)
+        del part[len(part) - ones:]
+        if not part:
             return out
-        part[i] -= 1
-        rem = ones + 1
-        part = part[: i + 1]
-        while rem:
-            take = min(rem, part[i])
-            part.append(take)
-            rem -= take
-            i += 1
+        part[-1] -= 1
+        copies, rest = divmod(ones + 1, part[-1])
+        part += [part[-1]] * copies
+        if rest:
+            part.append(rest)
 
 
 @lru_cache(maxsize=None)
@@ -121,17 +116,17 @@ def p_asym(n: int) -> float:
 
 
 def degree(partition: Partition) -> int:
-    """Irreducible character degree via the hook length formula n!/prod(hooks)."""
-    parts = partition.parts
-    n = partition.n
-    if n == 0:
-        return 1
-    cols = [sum(1 for p in parts if p > j) for j in range(parts[0])]
-    hooks = 1
-    for i, p in enumerate(parts):
-        for j in range(p):
-            hooks *= (p - j) + (cols[j] - i) - 1
-    return factorial(n) // hooks
+    """Irreducible character degree by Frobenius' formula.
+
+    With k rows, the first-column hook lengths are h_i = parts[i] + k - 1 - i,
+    and the degree is n! prod_{i<j} (h_i - h_j) / prod h_i!, an exact integer
+    division: the hook length formula with every hook outside the first
+    column cancelled (Fulton-Harris, Representation Theory, Lecture 4).
+    """
+    k = len(partition.parts)
+    hooks = [p + k - 1 - i for i, p in enumerate(partition.parts)]
+    differences = prod(starmap(sub, combinations(hooks, 2)))
+    return factorial(partition.n) * differences // prod(map(factorial, hooks))
 
 
 @lru_cache(maxsize=None)

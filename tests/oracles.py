@@ -6,14 +6,17 @@ sum and the masked Riemann-Siegel loop) take one transcendental call per
 (node, term) where the package multiplies rows, the determinant oracles are
 plain cofactor expansion and scalar Bareiss elimination with row swaps (no
 batched kernel swaps rows), the Pfaffian oracle expands along the first row,
-the involution oracle walks every permutation, the distribution oracles sum
-per-entry generators over (value, weight) pairs, and the CSV oracle reads
-every file through csv.reader one row at a time.
+the involution oracle walks every permutation, the degree oracle multiplies
+the hook length of every cell, the partition oracle sorts the parts of every
+composition, the distribution oracles sum per-entry generators over (value,
+weight) pairs, and the CSV oracle reads every file through csv.reader one row
+at a time.
 """
 
 import csv
 import itertools
 import math
+import sys
 from typing import IO
 
 import mpmath as mp
@@ -209,6 +212,32 @@ def involutions_bruteforce(n: int) -> int:
     return count
 
 
+def degree_hooks(parts: tuple[int, ...]) -> int:
+    """n! over the product of the hook lengths of every cell (Frame-Robinson-
+    Thrall); ArithmeticError if that product does not divide n!."""
+    cols = [sum(1 for p in parts if p > j) for j in range(max(parts, default=0))]
+    hooks = 1
+    for i, p in enumerate(parts):
+        for j in range(p):
+            hooks *= (p - j) + (cols[j] - i) - 1
+    degree, rest = divmod(math.factorial(sum(parts)), hooks)
+    if rest:
+        raise ArithmeticError(f"hook product {hooks} does not divide {sum(parts)}!")
+    return degree
+
+
+def partitions_bruteforce(n: int) -> set[tuple[int, ...]]:
+    """Every partition of n as a tuple: the parts of each of the 2^(n-1)
+    compositions, sorted in decreasing order."""
+    if n == 0:
+        return {()}
+    out = set()
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        ends = [i for i, cut in enumerate(cuts, 1) if cut] + [n]
+        out.add(tuple(sorted((b - a for a, b in zip([0] + ends, ends)), reverse=True)))
+    return out
+
+
 def trapezoid_moment(zeta_values, step: float, k: int) -> float:
     """Trapezoid-rule moment over equally spaced |zeta| samples."""
     zk = [z**k for z in zeta_values]
@@ -236,7 +265,7 @@ def normalize_oracle(pairs) -> tuple[tuple[float, float], ...]:
 def moment_oracle(pairs, k: int) -> float:
     """sum(w * v^k) / sum(w) with one math.pow per entry.  Where the power
     overflows, the term is (w * v) * v ... instead, and ValueError if that is
-    past float64 too; a finite sum past float64 raises OverflowError."""
+    past float64 too; a finite sum past float64 raises ValueError as well."""
     terms = []
     for i, (v, w) in enumerate(pairs):
         try:
@@ -248,7 +277,12 @@ def moment_oracle(pairs, k: int) -> float:
             if term == math.inf:
                 raise ValueError(f"entry {i}: weight {w!r} * value {v!r}^{k} is past float64") from None
             terms.append(term)
-    return math.fsum(terms) / total_weight_oracle(pairs)
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        raise ValueError(f"moment {k} overflows float64: the terms w * v^{k} sum past "
+                         f"{sys.float_info.max!r}") from None
+    return total / total_weight_oracle(pairs)
 
 
 def tail_second_moment_oracle(pairs, b: float) -> float:

@@ -215,6 +215,22 @@ class TestMoment:
         assert moment(dist(*pairs), k) == want
 
 
+@pytest.mark.parametrize("entries", [10, 1100], ids=["10-entries", "1100-entries"])
+@pytest.mark.parametrize("call, quantity", [
+    (lambda d: moment(d, 2), "moment 2 overflows float64: the terms w * v^2"),
+    (lambda d: tail_second_moment(d, 0.0),
+     "tail second moment overflows float64: the terms w * v^2 above a cutoff"),
+    (lambda d: moments.check_tail_inequality(d, [0.0]), "moment 2 overflows float64: the terms w * v^2"),
+], ids=["moment", "tail", "check"])
+def test_sum_past_float64_raises_one_value_error(entries, call, quantity):
+    # fsum (short arrays) and the binned pass (long arrays, and every tail
+    # sum) overflow with different OverflowErrors; each becomes one
+    # ValueError that names the sum
+    with pytest.raises(ValueError) as err:
+        call(dist(*[(1e154, 1.0)] * entries))
+    assert str(err.value) == f"{quantity} sum past 1.7976931348623157e+308"
+
+
 class TestTailSecondMoment:
     def test_below_support(self):
         assert tail_second_moment(TWO_POINT, 1.0) == pytest.approx(2.0)
@@ -509,7 +525,7 @@ def test_one_pass_tails_equal_fsum_at_every_cutoff(pairs, data, block):
     expected = [tail_sum_exact(pairs, b) for b in grid]
     with mock.patch.object(numutil, "_SUM_BLOCK", block):
         if None in expected:
-            with pytest.raises(OverflowError):
+            with pytest.raises(ValueError, match="^tail second moment overflows float64: "):
                 moments._tail_sums(d, grid)
             return
         got = moments._tail_sums(d, grid)

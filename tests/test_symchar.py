@@ -25,7 +25,7 @@ from momenttail.symchar import (
     xi_moments,
 )
 
-from oracles import involutions_bruteforce
+from oracles import degree_hooks, involutions_bruteforce, partitions_bruteforce
 
 
 class TestPartitions:
@@ -44,6 +44,11 @@ class TestPartitions:
 
     def test_n0_convention(self):
         assert [p.parts for p in partitions(0)] == [()]
+
+    def test_order_matches_bruteforce(self):
+        for n in range(16):
+            got = [p.parts for p in partitions(n)]
+            assert got == sorted(partitions_bruteforce(n), reverse=True)
 
     def test_counts_match_pentagonal_recurrence(self):
         for n in range(1, 36):
@@ -95,13 +100,13 @@ class TestDegree:
 
     def test_divisibility_always_exact(self):
         for lam in partitions(9):
-            parts = lam.parts
-            cols = [sum(1 for p in parts if p > j) for j in range(parts[0])]
-            hooks = 1
-            for i, p in enumerate(parts):
-                for j in range(p):
-                    hooks *= (p - j) + (cols[j] - i) - 1
-            assert factorial(9) % hooks == 0
+            # degree_hooks raises ArithmeticError unless the hooks divide 9!
+            assert degree_hooks(lam.parts) >= 1
+
+    def test_equals_hook_length_formula_to_n30(self):
+        for n in range(31):
+            for lam in partitions(n):
+                assert degree(lam) == degree_hooks(lam.parts)
 
     def test_conjugate_symmetry(self):
         for n in range(1, 26):
