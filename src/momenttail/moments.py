@@ -25,7 +25,7 @@ import csv
 import io
 import math
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -105,10 +105,6 @@ class EmpiricalDistribution:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "EmpiricalDistribution":
-        return cls([(float(v), float(w)) for v, w in pairs])
 
     @cached_property
     def total_weight(self) -> float:

@@ -13,7 +13,6 @@ they carry no error rate.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, starmap
 from math import factorial, prod
@@ -41,13 +40,6 @@ class Partition:
     @property
     def n(self) -> int:
         return sum(self.parts)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return self
-        return Partition(
-            tuple(sum(1 for p in self.parts if p > j) for j in range(self.parts[0]))
-        )
 
     def __str__(self) -> str:
         return "-".join(str(p) for p in self.parts) if self.parts else "0"
@@ -250,9 +242,6 @@ class DegreeBound:
     @property
     def value(self) -> float:
         return LogReal(self.log).value
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
 
 def second_moment_degree_bound(n: int) -> DegreeBound:

@@ -19,8 +19,9 @@ step is elementwise, so a value depends on its own t alone, not on the grid it
 was evaluated in.
 
 Windowed moments of |zeta|^k (k = 2 or 4) use composite Simpson quadrature
-with a built-in step-halving convergence record; when the half-step grid holds
-every full-step node, only it is evaluated.  The tail report discretizes
+with a built-in step-halving convergence record: the check halves every
+interval, so only the halved grid is evaluated and its even nodes are the
+full-step nodes.  The tail report discretizes
 xi = H |zeta|^2 / integral(|zeta|^2) over the quadrature nodes, giving a unit
 mean by construction, and checks the tail inequality on that finite
 distribution with moments.check_tail_inequality, where it is exact.
@@ -430,25 +431,21 @@ class MomentEstimate:
             raise ValueError("moment cannot be negative")
 
 
-def _simpson_intervals(H: float, step: float, halve: bool = False) -> int:
-    """Even Simpson interval count on a window H at about step (step / 2 if
-    halve); ValueError past SIMPSON_MAX_NODES nodes or at a half step of 0,
-    before any allocation."""
-    if halve and not step / 2:
-        raise ValueError(f"step {step!r} halves to 0: use a larger step or --no-convergence-check")
-    ratio = H / (step / 2 if halve else step)
+def _simpson_intervals(H: float, step: float) -> int:
+    """Even Simpson interval count on a window H at about step; ValueError
+    past SIMPSON_MAX_NODES nodes, before any allocation."""
+    ratio = H / step
     if not ratio <= SIMPSON_MAX_NODES - 1:  # an inf ratio too
         raise ValueError(
             f"a Simpson grid of step {step!r} on a window of {H!r} needs more than "
-            f"{SIMPSON_MAX_NODES} nodes{' at the half step' if halve else ''}: "
-            "use a larger step or a shorter window")
+            f"{SIMPSON_MAX_NODES} nodes: use a larger step or a shorter window")
     n_int = max(2, math.ceil(ratio))
     return n_int + n_int % 2
 
 
-def _simpson_grid(T: float, H: float, step: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes, weights and actual step of composite Simpson on [T, T+H]."""
-    n_int = _simpson_intervals(H, step)
+def _simpson_grid(T: float, H: float, n_int: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes, weights and step of composite Simpson on [T, T+H] with n_int
+    (even) intervals."""
     h = H / n_int
     ts = T + h * np.arange(n_int + 1, dtype=float)
     w = np.full(n_int + 1, 2.0)
@@ -469,12 +466,12 @@ def moment_integral(
 ) -> MomentEstimate:
     """Simpson quadrature of |zeta(1/2+it)|^k over [T, T+H], k in {2, 4}.
 
-    When convergence_check is on, the integral is recomputed at half the step
-    and the relative change recorded; the full-step nodes are evaluated once,
-    as part of the half-step grid, whenever that grid holds them.  The
-    integrand oscillates on unit scale, so steps above 0.25 set a warning flag
-    instead of failing.  Grids past SIMPSON_MAX_NODES nodes, the half-step one
-    included, raise ValueError.
+    When convergence_check is on, the integral is recomputed on the grid with
+    every interval halved, at exactly half the reported step, and the relative
+    change recorded; only that grid is evaluated, and its even nodes give the
+    full-step values.  The integrand oscillates on unit scale, so steps above
+    0.25 set a warning flag instead of failing.  Grids past SIMPSON_MAX_NODES
+    nodes, the half-step one included, raise ValueError.
     """
     _require_finite(T=T, H=H, step=step)
     if T < 0:
@@ -485,23 +482,25 @@ def moment_integral(
         raise ValueError("step must satisfy 0 < step <= H/10")
     if k not in (2, 4):
         raise ValueError("k must be 2 or 4")
-    _simpson_intervals(H, step, halve=convergence_check)
+    n_int = _simpson_intervals(H, step)
+    if convergence_check and 2 * n_int + 1 > SIMPSON_MAX_NODES:
+        raise ValueError(
+            f"a Simpson grid of step {step!r} on a window of {H!r} needs more than "
+            f"{SIMPSON_MAX_NODES} nodes at the half step: use a larger step or a shorter window")
+    if convergence_check and not H / n_int / 2:
+        raise ValueError(f"the grid step {H / n_int!r} for step {step!r} halves to 0: "
+                         "use a larger step or --no-convergence-check")
 
-    ts, w, h = _simpson_grid(T, H, step)
+    ts, w, h = _simpson_grid(T, H, n_int)
     halved = delta = None
     if not convergence_check:
         z = zeta_abs_grid(ts, cfg, threads)
     else:
-        ts2, w2, _ = _simpson_grid(T, H, step / 2)
-        # |zeta| depends on t alone, so where the half-step grid holds every
-        # full-step node (no node is -0.0 or nan, so == is bit for bit), its
-        # even nodes give the full-step values
-        if np.array_equal(ts2[::2], ts):
-            z2 = zeta_abs_grid(ts2, cfg, threads)
-            z = z2[::2]
-        else:
-            z = zeta_abs_grid(ts, cfg, threads)
-            z2 = zeta_abs_grid(ts2, cfg, threads)
+        # H / (2 n_int) is h / 2, so node 2i of the halved grid is T + h i bit
+        # for bit, and |zeta| depends on t alone
+        ts2, w2, _ = _simpson_grid(T, H, 2 * n_int)
+        z2 = zeta_abs_grid(ts2, cfg, threads)
+        z = z2[::2]
         halved = compensated_dot(w2, z2**k)
     value = compensated_dot(w, z**k)
     if halved is not None:
@@ -591,7 +590,7 @@ def tail_moment_report(
     if not 0 < step <= H / 10:
         raise ValueError("step must satisfy 0 < step <= H/10")
 
-    ts, w, h = _simpson_grid(T, H, step)
+    ts, w, h = _simpson_grid(T, H, _simpson_intervals(H, step))
     z = zeta_abs_grid(ts, cfg, threads)
     z2 = z**2
     i2 = compensated_dot(w, z2)

@@ -9,8 +9,9 @@ batched kernel swaps rows), the Pfaffian oracle expands along the first row,
 the involution oracle walks every permutation, the degree oracle multiplies
 the hook length of every cell, the partition oracle sorts the parts of every
 composition, the distribution oracles sum per-entry generators over (value,
-weight) pairs, and the CSV oracle reads every file through csv.reader one row
-at a time.
+weight) pairs, the Simpson oracle builds its nodes and weights one by one and
+sums them with math.fsum, and the CSV oracle reads every file through
+csv.reader one row at a time.
 """
 
 import csv
@@ -28,6 +29,7 @@ from momenttail.moments import (
     InvalidEntryError,
 )
 from momenttail.skewdet import SkewSignMatrix
+from momenttail.zeta import MomentEstimate, zeta_abs_grid
 
 
 def zeta_abs_eta_oracle(t: float, terms: int = 10_000, averages: int = 40,
@@ -212,10 +214,15 @@ def involutions_bruteforce(n: int) -> int:
     return count
 
 
+def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of the Young diagram: part j counts the parts above j."""
+    return tuple(sum(1 for p in parts if p > j) for j in range(max(parts, default=0)))
+
+
 def degree_hooks(parts: tuple[int, ...]) -> int:
     """n! over the product of the hook lengths of every cell (Frame-Robinson-
     Thrall); ArithmeticError if that product does not divide n!."""
-    cols = [sum(1 for p in parts if p > j) for j in range(max(parts, default=0))]
+    cols = conjugate(parts)
     hooks = 1
     for i, p in enumerate(parts):
         for j in range(p):
@@ -236,6 +243,32 @@ def partitions_bruteforce(n: int) -> set[tuple[int, ...]]:
         ends = [i for i, cut in enumerate(cuts, 1) if cut] + [n]
         out.add(tuple(sorted((b - a for a, b in zip([0] + ends, ends)), reverse=True)))
     return out
+
+
+def simpson_halving_estimate(T: float, H: float, k: int, step: float) -> MomentEstimate:
+    """moment_integral with its convergence check, from one |zeta| grid.
+
+    n = ceil(H / step), rounded up to even (at least 2), intervals at the
+    full step h = H / n; the halved grid has 2n intervals of H / (2n), and
+    its even nodes are the full-step nodes.  Simpson weights 1, 4, 2, ..., 4,
+    1 times a third of the interval width are built per node, and each sum is
+    one math.fsum.
+    """
+    n = max(2, math.ceil(H / step))
+    n += n % 2
+    h, h2 = H / n, H / (2 * n)
+    zk = (zeta_abs_grid(np.array([T + h2 * j for j in range(2 * n + 1)])) ** k).tolist()
+
+    def simpson(values, width):
+        last = len(values) - 1
+        return math.fsum((1 if j in (0, last) else 4 if j % 2 else 2) * (width / 3) * v
+                         for j, v in enumerate(values))
+
+    value, halved = simpson(zk[::2], h), simpson(zk, h2)
+    return MomentEstimate(
+        T=T, H=H, k=k, value=value, nodes=n + 1, step=h, halved_value=halved,
+        convergence_delta=abs(value - halved) / max(abs(halved), 1e-300),
+        coarse_step_warning=step > 0.25)
 
 
 def trapezoid_moment(zeta_values, step: float, k: int) -> float:

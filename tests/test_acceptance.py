@@ -62,7 +62,7 @@ def test_criterion_1_tail_inequality_property_suite():
         weights = 1.0 - rng.random(size)  # in (0, 1]
         if not np.any(values > 0):
             values[0] = rng.uniform(1.0, 10.0)
-        dist = EmpiricalDistribution.from_pairs(zip(values.tolist(), weights.tolist()))
+        dist = EmpiricalDistribution(np.column_stack((values, weights)))
         norm = normalize(dist)
         a = moment(norm, 2)
         grid = np.linspace(0.0, a, num=20, endpoint=False).tolist()

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from momenttail import cli, moments, skewdet
 from momenttail.moments import TheoremViolationError
 
+from oracles import simpson_halving_estimate
+
 
 @pytest.fixture()
 def dist_csv(tmp_path):
@@ -375,6 +377,18 @@ class TestReports:
         payload = json.loads(out)
         assert payload["k"] == 2
         assert payload["value"] > 0
+
+    def test_zeta_moments_evaluates_one_halved_grid(self, capsys, monkeypatch):
+        # 44 intervals of 3/44, halved to 88; the requested half step 0.035
+        # would give 86, whose nodes miss the full-step ones
+        calls, grid = [], cli.zeta.zeta_abs_grid
+        monkeypatch.setattr(cli.zeta, "zeta_abs_grid",
+                            lambda ts, *a: calls.append(len(ts)) or grid(ts, *a))
+        code, out, _ = run(
+            capsys, ["zeta", "moments", "--T", "10", "--H", "3", "--k", "2", "--step", "0.07"])
+        payload = json.loads(out)
+        assert (code, calls, payload["nodes"]) == (0, [89], 45)
+        assert payload["halved_value"] == simpson_halving_estimate(10.0, 3.0, 2, 0.07).halved_value
 
     def test_symchar_table_csv(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

@@ -38,7 +38,7 @@ from test_golden import heavy_csv
 
 
 def dist(*pairs):
-    return EmpiricalDistribution.from_pairs(pairs)
+    return EmpiricalDistribution(pairs)
 
 
 TWO_POINT = dist((2.0, 0.5), (0.0, 0.5))
@@ -366,7 +366,7 @@ def exact_mean(pairs) -> Fraction:
 @settings(max_examples=200, deadline=None)
 @given(finite_dists)
 def test_normalize_idempotent_and_unit_mean(pairs):
-    d = normalize(EmpiricalDistribution.from_pairs(pairs))
+    d = normalize(EmpiricalDistribution(pairs))
     assert moment(d, 1) == pytest.approx(1.0, abs=1e-12)
     again = normalize(d)
     for (v1, w1), (v2, w2) in zip(d.entries, again.entries):
@@ -377,7 +377,7 @@ def test_normalize_idempotent_and_unit_mean(pairs):
 @settings(max_examples=200, deadline=None)
 @given(finite_dists)
 def test_theorem_holds_on_random_support(pairs):
-    d = EmpiricalDistribution.from_pairs(pairs)
+    d = EmpiricalDistribution(pairs)
     norm = normalize(d)
     a = moment(norm, 2)
     grid = [a * i / 8 for i in range(8)]
@@ -392,8 +392,8 @@ def test_scale_invariance(pairs, c):
     # where subnormal products carry the mean, scaling by c drops the bits
     # that carry it; other draws (tiny atoms included) stay checked
     assume(sum(v * w for v, w in pairs) > 1e-9)
-    base = EmpiricalDistribution.from_pairs(pairs)
-    scaled = EmpiricalDistribution.from_pairs([(v * c, w) for v, w in pairs])
+    base = EmpiricalDistribution(pairs)
+    scaled = EmpiricalDistribution([(v * c, w) for v, w in pairs])
     # the strict tail threshold is discontinuous at atoms, so compare at
     # points bounded away from them: 0 and midpoints between distinct values
     atoms = sorted({v for v, _ in normalize(base).entries})
@@ -412,7 +412,7 @@ def test_scale_invariance(pairs, c):
 @settings(max_examples=100, deadline=None)
 @given(finite_dists, st.lists(st.floats(min_value=-5, max_value=15), min_size=2, max_size=8))
 def test_tail_monotone_in_b(pairs, bs):
-    d = EmpiricalDistribution.from_pairs(pairs)
+    d = EmpiricalDistribution(pairs)
     bs = sorted(bs)
     tails = [tail_second_moment(d, b) for b in bs]
     assert all(t1 >= t2 - 1e-12 for t1, t2 in zip(tails, tails[1:]))
@@ -435,7 +435,7 @@ wide_dists = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(wide_dists)
 def test_array_forms_equal_generator_forms(pairs):
-    d = EmpiricalDistribution.from_pairs(pairs)
+    d = EmpiricalDistribution(pairs)
     assert d.total_weight == total_weight_oracle(pairs)
     for k in range(1, 5):
         assert moment(d, k) == moment_oracle(pairs, k)
@@ -474,7 +474,7 @@ def test_moment_equals_pow_map(pairs, k):
 @settings(max_examples=300, deadline=None)
 @given(wide_dists)
 def test_tail_equals_generator_form(pairs):
-    for d in (EmpiricalDistribution.from_pairs(pairs), normalize(dist(*pairs))):
+    for d in (EmpiricalDistribution(pairs), normalize(dist(*pairs))):
         ref = [tuple(p) for p in d.entries.tolist()]
         atoms = sorted(set(d.values.tolist()))
         top = atoms[-1]

@@ -25,7 +25,12 @@ from momenttail.symchar import (
     xi_moments,
 )
 
-from oracles import degree_hooks, involutions_bruteforce, partitions_bruteforce
+from oracles import (
+    conjugate,
+    degree_hooks,
+    involutions_bruteforce,
+    partitions_bruteforce,
+)
 
 
 class TestPartitions:
@@ -111,7 +116,7 @@ class TestDegree:
     def test_conjugate_symmetry(self):
         for n in range(1, 26):
             for lam in partitions(n):
-                assert degree(lam) == degree(lam.conjugate())
+                assert degree(lam) == degree(Partition(conjugate(lam.parts)))
 
 
 class TestInvolutions:
@@ -189,7 +194,7 @@ class TestDegreeTable:
 
 def test_empty_partition_is_self_conjugate_with_degree_1():
     empty = Partition(())
-    assert (empty.conjugate(), degree(empty)) == (empty, 1)
+    assert (conjugate(empty.parts), degree(empty)) == ((), 1)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -235,23 +240,24 @@ class TestXiMoments:
 class TestSecondMomentDegreeBound:
     def test_n4(self):
         bound = second_moment_degree_bound(4)
-        assert bound.as_fraction() == Fraction(24, 10)
+        assert Fraction(bound.numerator, bound.denominator) == Fraction(24, 10)
         assert bound.value == pytest.approx(2.4, rel=1e-12)
         assert degree_table(4).max_degree >= bound.value
 
     def test_n5(self):
         bound = second_moment_degree_bound(5)
-        assert bound.as_fraction() == Fraction(120, 26)
+        assert Fraction(bound.numerator, bound.denominator) == Fraction(120, 26)
         assert degree_table(5).max_degree == 6
 
     def test_n1(self):
-        assert second_moment_degree_bound(1).as_fraction() == 1
+        bound = second_moment_degree_bound(1)
+        assert Fraction(bound.numerator, bound.denominator) == 1
 
     def test_exact_rational_comparison_to_n30(self):
         for n in range(1, 31):
             bound = second_moment_degree_bound(n)
             max_deg = degree_table(n).max_degree
-            assert Fraction(max_deg) >= bound.as_fraction()
+            assert Fraction(max_deg) >= Fraction(bound.numerator, bound.denominator)
 
 
 class TestAsymDegreeBound:

@@ -31,6 +31,7 @@ from momenttail.zeta import (
 
 from oracles import (
     rs_main_sum_masked,
+    simpson_halving_estimate,
     trapezoid_moment,
     zeta_abs_em_exp_outer,
     zeta_abs_em_oracle,
@@ -438,29 +439,16 @@ class TestMomentIntegral:
 
 
 class TestNodeReuse:
-    @staticmethod
-    def two_grid_estimate(T, H, k, step):
-        """MomentEstimate from both Simpson grids, each evaluated in full."""
-        values = []
-        for s in (step, step / 2):
-            ts, w, h = zeta._simpson_grid(T, H, s)
-            values.append((zeta.compensated_dot(w, zeta_abs_grid(ts) ** k), ts.size, h))
-        (value, nodes, h), (halved, _, _) = values
-        return zeta.MomentEstimate(
-            T=T, H=H, k=k, value=value, nodes=nodes, step=h, halved_value=halved,
-            convergence_delta=abs(value - halved) / max(abs(halved), 1e-300),
-            coarse_step_warning=step > 0.25)
-
     @pytest.mark.parametrize("T, H, step, nested", [
         (20.0, 50.0, 0.05, True),
         (0.0, 200.0, 0.05, True),  # the Euler-Maclaurin-heavy window
-        (20.0, 1.03, 0.1, False),  # 12 intervals, and 22 at the half step
+        (20.0, 1.03, 0.1, False),  # 12 intervals, halved to 24; step 0.05 would give 22
     ])
     @pytest.mark.parametrize("k", [2, 4])
     def test_each_node_evaluated_once(self, T, H, step, nested, k):
-        full = zeta._simpson_intervals(H, step) + 1
-        half = zeta._simpson_intervals(H, step, halve=True) + 1
-        assert (half == 2 * full - 1) is nested
+        # nested: the requested half step alone would give the halved grid
+        n = zeta._simpson_intervals(H, step)
+        assert (zeta._simpson_intervals(H, step / 2) == 2 * n) is nested
         calls = []
 
         def counting(ts, *args):
@@ -469,8 +457,8 @@ class TestNodeReuse:
 
         with mock.patch.object(zeta, "zeta_abs_grid", counting):
             est = moment_integral(T, H, k, step=step)
-        assert calls == ([half] if nested else [full, half])
-        assert repr(est) == repr(self.two_grid_estimate(T, H, k, step))
+        assert calls == [2 * n + 1]
+        assert repr(est) == repr(simpson_halving_estimate(T, H, k, step))
 
     def test_no_convergence_check_evaluates_the_full_grid(self):
         calls = []
@@ -483,13 +471,30 @@ class TestNodeReuse:
 class TestSimpsonNodeCap:
     def test_largest_documented_window_accepted(self):
         # H = 1000 at step 0.05: 40,001 nodes with the half step
-        assert zeta._simpson_intervals(1000.0, 0.05, halve=True) + 1 == 40_001
+        assert 2 * zeta._simpson_intervals(1000.0, 0.05) + 1 == 40_001
 
     def test_cap_is_reachable_and_exact(self):
         cap = zeta.SIMPSON_MAX_NODES
         assert zeta._simpson_intervals(1.0, 2.0**-20) + 1 == cap
         with pytest.raises(ValueError, match=f"more than {cap} nodes"):
             zeta._simpson_intervals(1.0, 2.0**-20 * (1 - 2.0**-52))
+
+    def test_half_step_cap_is_exact(self):
+        # n = 2^19 intervals halve to the cap's 2^20; the next even n does not fit
+        cap, last, past = zeta.SIMPSON_MAX_NODES, 2.0**-19, 2.0**-19 * (1 - 2.0**-52)
+        assert zeta._simpson_intervals(1.0, past) == 2**19 + 2
+        calls = []
+
+        def reached(ts, *args):
+            calls.append(len(ts))
+            raise AssertionError("evaluated")
+
+        with mock.patch.object(zeta, "zeta_abs_grid", reached):
+            with pytest.raises(AssertionError, match="evaluated"):
+                moment_integral(10.0, 1.0, 2, step=last)
+            with pytest.raises(ValueError, match=f"more than {cap} nodes at the half step"):
+                moment_integral(10.0, 1.0, 2, step=past)
+        assert calls == [cap]
 
     @pytest.mark.parametrize("convergence_check", [True, False])
     def test_half_step_grid_counted_before_evaluation(self, convergence_check):
@@ -503,8 +508,10 @@ class TestSimpsonNodeCap:
                     moment_integral(10.0, 1.0, 2, step=step, convergence_check=False)
 
     def test_step_halving_to_zero_rejected_before_evaluation(self):
-        # 5e-324 / 2 rounds to 0, so the convergence check has no half step
+        # the actual step H / n is 5e-324, whose half rounds to 0, so the
+        # convergence check has no half step
         H, step = 1.2735e-319, 5e-324
+        assert H / zeta._simpson_intervals(H, step) == 5e-324
         with mock.patch.object(zeta, "zeta_abs_grid", side_effect=AssertionError):
             with pytest.raises(ValueError, match="halves to 0: .*--no-convergence-check"):
                 moment_integral(0.0, H, 2, step=step)
@@ -558,7 +565,7 @@ class TestTailReport:
                                          (100.0, 10.0, 1e9)])
     def test_restricted_sums_equal_masked_dots(self, T, H, c):
         rep = tail_moment_report(T, H, c_threshold=c)
-        ts, w, _ = zeta._simpson_grid(T, H, 0.05)
+        ts, w, _ = zeta._simpson_grid(T, H, zeta._simpson_intervals(H, 0.05))
         z = zeta_abs_grid(ts)
         z4 = (z**2) ** 2
         assert rep.fourth_moment == zeta.compensated_dot(w, z4)
@@ -581,7 +588,7 @@ class TestTailReport:
     def test_e_xi_is_the_first_moment(self, T, H):
         # e_xi is read from the distribution's mean; pow(v, 1.0) is v, so
         # the first moment is the same float
-        ts, w, _ = zeta._simpson_grid(T, H, 0.05)
+        ts, w, _ = zeta._simpson_grid(T, H, zeta._simpson_intervals(H, 0.05))
         z2 = zeta_abs_grid(ts) ** 2
         i2 = zeta.compensated_dot(w, z2)
         dist = zeta.EmpiricalDistribution(np.column_stack((H * z2 / i2, w)))
