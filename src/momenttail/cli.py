@@ -1,15 +1,15 @@
 """Command-line entry point: `mtl <subcommand> ...`.
 
-Each command handler returns its report, a dataclass or a dict, and main()
-serializes, renders and writes it once (JSON by default) on stdout or --out;
-`symchar table` alone writes its own CSV.  JSON is serialized with sorted keys
-and fixed formatting, so identical argv produces byte-identical output; big
-integers are decimal strings.  Exit codes: 0 ok, 1 a violated exact inequality
-(TheoremViolationError, raised by the module that owns the check: theorem
-check, zeta tail, the symchar degree identities and bound, the skewdet bound
-in repro), 2 bad flags, malformed input files or an unreadable or unwritable
-path.  --assert is still accepted where it was and changes nothing: every exact
-check is enforced without it.
+Each command handler returns its report, and main() writes every output
+once, on stdout or --out: a dataclass or a dict is serialized and rendered
+(JSON by default), and a str, the CSV of `symchar table`, is written as it is.
+JSON is serialized with sorted keys and fixed formatting, so identical argv
+produces byte-identical output; big integers are decimal strings.  Exit codes:
+0 ok, 1 a violated exact inequality (TheoremViolationError, raised by the
+module that owns the check: theorem check, zeta tail, the symchar degree
+identities and bound, the skewdet bound in repro), 2 bad flags, malformed input
+files or an unreadable or unwritable path.  --assert is still accepted where it
+was and changes nothing: every exact check is enforced without it.
 
 main() parses with one parser, built once per process, so in-process callers
 pay argparse construction once; build_parser() still returns a fresh parser.
@@ -49,10 +49,8 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 def _emit(report, args):
-    _write(_render(to_json(report), args.fmt), args)
-
-
-def _write(text: str, args):
+    """Write a str report as it is, and render any other in --format."""
+    text = report if isinstance(report, str) else _render(to_json(report), args.fmt)
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -145,10 +143,8 @@ def _cmd_symchar_report(args):
 
 
 def _cmd_symchar_table(args):
-    table = symchar.degree_table(args.n)
-    lines = ["partition,degree\n"]
-    lines += [f"{lam},{d}\n" for lam, d in table.rows]
-    _write("".join(lines), args)
+    rows = symchar.degree_table(args.n).rows
+    return "partition,degree\n" + "".join(f"{lam},{d}\n" for lam, d in rows)
 
 
 def _cmd_repro(args):
@@ -280,9 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         resolve_threads(args.threads)  # whether or not the command uses it
-        report = args.func(args)
-        if report is not None:  # symchar table writes its own CSV
-            _emit(report, args)
+        _emit(args.func(args), args)
         return 0
     except DistributionFormatError as exc:
         print(f"error: malformed distribution CSV: {exc}", file=sys.stderr)

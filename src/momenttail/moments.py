@@ -4,8 +4,9 @@ A non-negative random variable with unit mean and second moment a > 1 must
 exceed a with positive probability, and for every cutoff 0 <= b < a the mass
 of squared values above b is at least a - b.  On finite support both facts
 are exact, so they double as self-checks: a failed check means a bug, not a
-counterexample.  check_tail_inequality alone decides them; verify_theorem
-normalizes first, and the zeta tail report has a unit mean by construction.
+counterexample.  check_tail_inequality alone decides them, and alone checks
+the cutoffs it is given; verify_theorem normalizes first, and the zeta tail
+report has a unit mean by construction.
 
 A distribution holds its entries in one read-only (k, 2) float64 array, so
 validation, normalization and the sums are numpy operations.  Every sum is
@@ -18,14 +19,17 @@ each suffix sum once, as fsum would.
 
 A CSV without quotes, lone carriage returns or irregular lines is split in
 blocks of whole lines with str.split and float(); any other file is read by
-csv.reader, which alone reports malformed input.
+csv.reader, which alone reports malformed input.  An error names the line of
+its row: entry i of a plain file is on line i + 2, and on the csv.reader route
+every line is the reader's line_num, the last line of a quoted row that spans
+lines.
 """
 
 import csv
 import io
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -301,14 +305,7 @@ def verify_theorem(
     dist: EmpiricalDistribution, b_grid: Sequence[float]
 ) -> TheoremReport:
     """Normalize, then check both exact consequences of the tail inequality
-    (see check_tail_inequality).
-
-    Grid points must be finite and non-negative (the inequality is false for
-    b < 0, where a - b > a); they are checked before the distribution is.
-    """
-    for b in b_grid:
-        if not 0 <= b < math.inf:
-            raise ValueError(f"b grid values must be finite and non-negative, got {b}")
+    with check_tail_inequality, which also checks the cutoffs."""
     return check_tail_inequality(normalize(dist), b_grid)
 
 
@@ -321,13 +318,18 @@ def check_tail_inequality(
     With a the second moment: (1) if a > 1 the maximum value is at least a,
     and (2) for every grid point 0 <= b < a the tail second moment above b is
     at least a - b.  A violation raises TheoremViolationError: on finite
-    support these are theorems, so failure means a bug.
+    support these are theorems, so failure means a bug.  A grid point that is
+    nan, infinite or negative (where a - b > a, so the inequality is false)
+    is the caller's error: ValueError, before any sum is formed.
 
     The float checks compare a, the tails and the maximum, each rounded, and
     the mean is 1 only up to the rounding of normalization, so with a far
     above 1 an absolute CHECK_TOL can miss by a rounding error.  A miss is
     settled exactly by _ExactCheck, and raises only if that fails too.
     """
+    for b in b_grid:
+        if not 0 <= b < math.inf:
+            raise ValueError(f"b grid values must be finite and non-negative, got {b}")
     a = moment(dist, 2)
     max_value = dist.max_value
     degenerate = a <= 1.0 + NORM_TOL
@@ -416,21 +418,23 @@ def load_distribution_csv(source: str | IO[str]) -> EmpiricalDistribution:
     file opened with newline="".  A plain file (see _parse_plain) is split
     in blocks; any other file, or a plain one with a field that float()
     rejects, is read by csv.reader.  Every error is a DistributionFormatError
-    with the offending 1-based line: a plain file has no blank line, so its
-    entry i is on line i + 2.
+    with the offending 1-based line.  A plain file has one row per line and
+    no blank line, so its entry i is on line i + 2; on the csv.reader route
+    every line is csv.reader's line_num: the row's own line, or the last line
+    of a quoted row that spans lines.
     """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     else:
         text = source.read()
-    entries, blanks_at = _parse_plain(text), ()
+    entries, lines = _parse_plain(text), None
     if entries is None:
-        entries, blanks_at = _parse_rows(text)
+        entries, lines = _parse_rows(text)
     try:
         return EmpiricalDistribution(entries)
     except InvalidEntryError as exc:
-        line = 2 + exc.index + sum(n <= exc.index for n in blanks_at)
+        line = exc.index + 2 if lines is None else lines[exc.index]
         raise DistributionFormatError(line, str(exc)) from None
 
 
@@ -482,45 +486,35 @@ def _parse_plain(text: str) -> np.ndarray | None:
     return entries
 
 
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    """csv.reader rows of text; a csv.Error becomes a DistributionFormatError
-    at the 1-based row it stopped in."""
-    line = 0
-    try:
-        for line, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
-            yield row
-    except csv.Error as exc:
-        raise DistributionFormatError(line + 1, str(exc)) from None
-
-
 def _parse_rows(text: str) -> tuple[np.ndarray, list[int]]:
-    """The (k, 2) entries of text, read with csv.reader, one row and two
-    float() calls per line, and the entry count at each skipped blank row."""
-    reader = _csv_rows(text)
+    """The (k, 2) entries of text, read with csv.reader and two float() calls
+    per row, and the line of each entry; every line is reader.line_num."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    values, weights, lines = [], [], []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DistributionFormatError(1, "empty file, expected `value,weight` header")
-    if [h.strip().lower() for h in header] != ["value", "weight"]:
-        raise DistributionFormatError(1, f"expected header `value,weight`, got {header}")
-
-    values, weights = [], []
-    blanks_at = []  # len(values) at each skipped blank row, to map rows back to lines
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            blanks_at.append(len(values))
-            continue
-        if len(row) != 2:
-            raise DistributionFormatError(line_no, f"expected 2 fields, got {len(row)}")
-        try:
-            value = float(row[0])
-            weight = float(row[1])
-        except ValueError:
+        header = next(reader, None)
+        if header is None:
+            raise DistributionFormatError(1, "empty file, expected `value,weight` header")
+        if [h.strip().lower() for h in header] != ["value", "weight"]:
             raise DistributionFormatError(
-                line_no, f"non-numeric entry {row!r}"
-            ) from None
-        values.append(value)
-        weights.append(weight)
+                reader.line_num, f"expected header `value,weight`, got {header}")
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise DistributionFormatError(
+                    reader.line_num, f"expected 2 fields, got {len(row)}")
+            try:
+                value = float(row[0])
+                weight = float(row[1])
+            except ValueError:
+                raise DistributionFormatError(
+                    reader.line_num, f"non-numeric entry {row!r}") from None
+            values.append(value)
+            weights.append(weight)
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise DistributionFormatError(reader.line_num, str(exc)) from None
     if not values:
         raise DistributionFormatError(2, "no data rows")
-    return np.column_stack((values, weights)), blanks_at
+    return np.column_stack((values, weights)), lines

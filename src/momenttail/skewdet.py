@@ -703,7 +703,8 @@ def det_existence_bound(n: int) -> LogReal:
 
 
 def second_moment_det_bound(stats: DetStats) -> float:
-    """Existence bound s2^2 / s1 for the max |det| over the ensemble.
+    """Existence bound s2^2 / s1 for the max |det| over the ensemble, as the
+    one correctly rounded quotient sum det^2 / sum |det| of exact integers.
 
     In exact mode the recorded maximum must already meet it (finite-support
     tail bound), max * sum |det| >= sum det^2 in exact integers; a miss raises
@@ -714,7 +715,7 @@ def second_moment_det_bound(stats: DetStats) -> float:
             "s1 = 0 (degenerate ensemble, e.g. odd n with zero diagonal): "
             "no bound available"
         )
-    bound = stats.s2**2 / stats.s1
+    bound = stats.sum_det2 / stats.sum_absdet
     if stats.mode == "exact" and stats.max_abs_det * stats.sum_absdet < stats.sum_det2:
         raise TheoremViolationError(
             f"enumerated max {stats.max_abs_det} misses exact bound "

@@ -577,8 +577,10 @@ def tail_moment_report(
     """Build the unit-mean xi from |zeta|^2 on [T, T+H] and check its tail.
 
     c_threshold scales the |zeta| cutoff c * log^{3/2}(T) for the restricted
-    fourth moment; None uses COEFF_LOW = 1/(4 pi^2).  The results under both
-    candidate coefficients are reported alongside either way.
+    fourth moment; None uses COEFF_LOW = 1/(4 pi^2).  A c_threshold whose
+    cutoff overflows float64 raises ValueError before any node is evaluated.
+    The results under both candidate coefficients are reported alongside
+    either way.
     """
     _require_finite(T=T, H=H, step=step)
     if c_threshold is not None:
@@ -589,6 +591,12 @@ def tail_moment_report(
         raise ValueError("H must be positive")
     if not 0 < step <= H / 10:
         raise ValueError("step must satisfy 0 < step <= H/10")
+    log32 = math.log(T) ** 1.5
+    c_used = COEFF_LOW if c_threshold is None else float(c_threshold)
+    threshold = c_used * log32
+    if not math.isfinite(threshold):
+        raise ValueError(f"c_threshold {c_used!r} makes the cutoff c * log(T)**1.5 "
+                         "overflow float64")
 
     ts, w, h = _simpson_grid(T, H, _simpson_intervals(H, step))
     z = zeta_abs_grid(ts, cfg, threads)
@@ -605,9 +613,7 @@ def tail_moment_report(
     theorem = check_tail_inequality(dist, [b])
     (tail_check,) = theorem.checks
 
-    log32 = math.log(T) ** 1.5
-    c_used = COEFF_LOW if c_threshold is None else float(c_threshold)
-    cutoffs = (COEFF_LOW * log32, COEFF_HIGH * log32, c_used * log32)
+    cutoffs = (COEFF_LOW * log32, COEFF_HIGH * log32, threshold)
     # the whole fourth moment (|zeta| > -inf) and each restriction, from one
     # exactly rounded pass over the terms w |zeta|^4 keyed by |zeta|
     i4, r4_low, r4_high, r4 = exact_sums(w * z2**2, z, (-math.inf,) + cutoffs)
@@ -621,7 +627,7 @@ def tail_moment_report(
         T=T,
         H=H,
         c_threshold=c_used,
-        threshold=c_used * log32,
+        threshold=threshold,
         restricted_fourth=r4,
         measure_of_set=meas,
         a=theorem.a,

@@ -342,7 +342,9 @@ def rejection_oracle(pairs) -> str | None:
 def load_distribution_csv_oracle(source: str | IO[str]) -> EmpiricalDistribution:
     """Read a `value,weight` CSV (header required) into a distribution.
 
-    Raises DistributionFormatError with the offending 1-based line number.
+    Raises DistributionFormatError with the offending 1-based line number:
+    csv.reader's line_num when the row is read, which for a quoted row that
+    spans lines is its last line.
     """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8-sig") as fh:
@@ -354,29 +356,34 @@ def load_distribution_csv_oracle(source: str | IO[str]) -> EmpiricalDistribution
     except StopIteration:
         raise DistributionFormatError(1, "empty file, expected `value,weight` header")
     if [h.strip().lower() for h in header] != ["value", "weight"]:
-        raise DistributionFormatError(1, f"expected header `value,weight`, got {header}")
+        raise DistributionFormatError(reader.line_num, f"expected header `value,weight`, got {header}")
 
     values, weights = [], []
-    blanks_at = []  # len(values) at each skipped blank row, to map rows back to lines
-    for line_no, row in enumerate(reader, start=2):
+    lines = []  # reader.line_num of each entry kept
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise DistributionFormatError(reader.line_num, str(exc)) from None
         if not row or (len(row) == 1 and not row[0].strip()):
-            blanks_at.append(len(values))
             continue
         if len(row) != 2:
-            raise DistributionFormatError(line_no, f"expected 2 fields, got {len(row)}")
+            raise DistributionFormatError(reader.line_num, f"expected 2 fields, got {len(row)}")
         try:
             value = float(row[0])
             weight = float(row[1])
         except ValueError:
             raise DistributionFormatError(
-                line_no, f"non-numeric entry {row!r}"
+                reader.line_num, f"non-numeric entry {row!r}"
             ) from None
         values.append(value)
         weights.append(weight)
+        lines.append(reader.line_num)
     if not values:
         raise DistributionFormatError(2, "no data rows")
     try:
         return EmpiricalDistribution(np.column_stack((values, weights)))
     except InvalidEntryError as exc:
-        line = 2 + exc.index + sum(n <= exc.index for n in blanks_at)
-        raise DistributionFormatError(line, str(exc)) from None
+        raise DistributionFormatError(lines[exc.index], str(exc)) from None

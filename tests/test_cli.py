@@ -308,6 +308,17 @@ class TestFlagHandling:
         assert out == ""
         assert err.startswith(f"error: {name} ") and "finite" in err
 
+    @pytest.mark.parametrize("c", ["1e308", "-1e308"])
+    def test_overflowing_c_threshold_exits_2_before_any_node(self, capsys, monkeypatch, c):
+        def no_nodes(*args):
+            raise AssertionError("a node was evaluated")
+
+        monkeypatch.setattr(cli.zeta, "zeta_abs_grid", no_nodes)
+        code, out, err = run(capsys, ["zeta", "tail", "--T", "100", "--H", "10", f"--c-threshold={c}"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: c_threshold {float(c)!r} makes the cutoff c * log(T)**1.5 "
+                       "overflow float64\n")
+
 
 class TestExactChecks:
     """A violated exact inequality is one `error:` line and exit 1."""
@@ -401,6 +412,15 @@ class TestReports:
         assert lines[1] == "4,1"
         assert lines[2] == "3-1,3"
         assert lines[-1] == "1-1-1-1,1"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_symchar_table_is_the_same_csv_in_every_format(self, capsys, tmp_path, fmt):
+        want = (Path(__file__).parent / "golden" / "symchar-table.csv").read_text(encoding="utf-8")
+        argv = ["symchar", "table", "--n", "6", "--format", fmt]
+        assert run(capsys, argv) == (0, want, "")
+        out_path = tmp_path / "table.csv"
+        assert run(capsys, argv + ["--out", str(out_path)]) == (0, "", "")
+        assert out_path.read_text(encoding="utf-8") == want
 
     def test_csv_format(self, capsys, dist_csv):
         code, out, _ = run(

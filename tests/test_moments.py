@@ -310,6 +310,32 @@ class TestVerifyTheorem:
             verify_theorem(TWO_POINT, [])
 
 
+class TestCutoffs:
+    """check_tail_inequality owns the check of its cutoffs."""
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_cutoff_rejected_before_any_sum(self, monkeypatch, b):
+        def no_sum(*args):
+            raise AssertionError("a sum was formed before the cutoffs were checked")
+
+        monkeypatch.setattr(moments, "_tail_sums", no_sum)
+        monkeypatch.setattr(moments, "moment", no_sum)
+        unit_mean = normalize(dist((1.0, 1.0), (3.0, 1.0)))
+        with pytest.raises(ValueError) as err:
+            moments.check_tail_inequality(unit_mean, [0.5, b])
+        assert str(err.value) == f"b grid values must be finite and non-negative, got {b}"
+
+    def test_zero_cutoffs_accepted(self):
+        report = moments.check_tail_inequality(normalize(dist((1.0, 1.0), (3.0, 1.0))), [0.0, -0.0])
+        assert [(c.b, c.holds) for c in report.checks] == [(0.0, True), (-0.0, True)]
+        assert [c.tail for c in report.checks] == [report.a, report.a]
+
+    def test_distribution_error_comes_before_a_bad_cutoff(self):
+        # verify_theorem normalizes first, so the file's fault is named
+        with pytest.raises(DegenerateDistributionError):
+            verify_theorem(dist((0.0, 1.0)), [math.nan])
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: max_lower_bound(0.0, 1.0), ValueError, "first moment must be positive"),
     (lambda: load_distribution_csv(io.StringIO("")), DistributionFormatError,
@@ -656,6 +682,33 @@ class TestCsvLoading:
                 load_distribution_csv(io.StringIO(f"value,weight\n1,1\n{field},2\n"))
             assert err.value.line == 3
             assert str(err.value) == "line 3: field larger than field limit (131072)"
+
+    # a quoted field on lines 2-3 and a blank line 4, then the row under test
+    SPANNING = 'value,weight\n"1\n",2\n\n'
+
+    @pytest.mark.parametrize("row, line, message", [
+        ("3,-1\n", 5, "non-positive weight -1.0"),
+        ("3,1,1\n", 5, "expected 2 fields, got 3"),
+        ("x,1\n", 5, "non-numeric entry ['x', '1']"),
+        ("1" * 200_000 + ",1\n", 5, "field larger than field limit (131072)"),
+        ('"3\n",-1\n', 6, "non-positive weight -1.0"),
+        ('3,"1\n\n",1\n', 7, "expected 2 fields, got 3"),
+    ], ids=["rejected-entry", "field-count", "non-numeric", "field-limit",
+            "rejected-spanning-row", "spanning-field-count"])
+    def test_csv_route_reports_the_physical_line(self, row, line, message):
+        # every line on the csv.reader route is its line_num: the last line of
+        # a row whose quoted field spans lines
+        text = self.SPANNING + row + "4,1\n"
+        assert moments._parse_plain(text) is None
+        for load in (load_distribution_csv, load_distribution_csv_oracle):
+            with pytest.raises(DistributionFormatError) as err:
+                load(io.StringIO(text, newline=""))
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    def test_entry_after_a_spanning_row_reports_its_line(self):
+        with pytest.raises(DistributionFormatError) as err:
+            load_distribution_csv(io.StringIO('value,weight\n"1\n",2\n3,-1\n', newline=""))
+        assert str(err.value) == "line 4: non-positive weight -1.0"
 
     def test_plain_files_take_the_block_parser(self):
         text = heavy_csv(rows=12_000)  # past two blocks of 64 KiB

@@ -941,6 +941,19 @@ class TestSecondMomentBound:
         # exact rational form: max * sum|det| >= sum det^2
         assert st.max_abs_det * st.sum_absdet >= st.sum_det2
 
+    @pytest.mark.parametrize(
+        "n, convention", [*((n, "zero") for n in (2, 4, 6, 8)), *((n, "unit") for n in range(1, 9))])
+    def test_enumerated_bound_is_rounded_once(self, n, convention):
+        # s2**2 / s1 from the two rounded floats reads 385.00000000000006 at
+        # n = 8 zero and 88.63157894736844 at n = 6 unit
+        st = enumerate_stats(n, convention)
+        assert second_moment_det_bound(st) == float(Fraction(st.sum_det2, st.sum_absdet))
+
+    @pytest.mark.parametrize("n, convention", [(10, "zero"), (9, "unit")])
+    def test_monte_carlo_bound_is_rounded_once(self, n, convention):
+        st = mc_stats(n, 500, seed=3, convention=convention)
+        assert second_moment_det_bound(st) == float(Fraction(st.sum_det2, st.sum_absdet))
+
     def test_degenerate_ensemble_rejected(self):
         st = enumerate_stats(3)
         with pytest.raises(ValueError):
