@@ -241,7 +241,11 @@ class DegreeBound:
 
     @property
     def value(self) -> float:
-        return LogReal(self.log).value
+        """n!/t(n) rounded once; inf past the float64 range."""
+        try:
+            return self.numerator / self.denominator
+        except OverflowError:
+            return math.inf
 
 
 def second_moment_degree_bound(n: int) -> DegreeBound:

@@ -215,7 +215,7 @@ class TestFlagHandling:
             (["zeta", "tail", "--T", "1e30", "--H", "1", "--step", "0.1"], "Riemann-Siegel"),
             (["zeta", "tail", "--T", "1e17", "--H", "1", "--step", "0.1"], "Riemann-Siegel"),
             (["zeta", "moments", "--T", "1e300", "--H", "1", "--k", "2"], "Riemann-Siegel"),
-            (["zeta", "moments", "--T", "1980", "--H", "10", "--k", "2", "--t-switch", "5000"],
+            (["zeta", "moments", "--T", "7956", "--H", "10", "--k", "2", "--t-switch", "1e4"],
              "Euler-Maclaurin"),
         ],
     )

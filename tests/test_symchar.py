@@ -253,6 +253,19 @@ class TestSecondMomentDegreeBound:
         bound = second_moment_degree_bound(1)
         assert Fraction(bound.numerator, bound.denominator) == 1
 
+    def test_value_correctly_rounded_to_n60(self):
+        # no float is nearer to n!/t(n) than value, from either side
+        for n in range(1, 61):
+            bound = second_moment_degree_bound(n)
+            exact = Fraction(factorial(n), involutions(n))
+            err = abs(Fraction(bound.value) - exact)
+            for side in (-math.inf, math.inf):
+                assert abs(Fraction(math.nextafter(bound.value, side)) - exact) >= err, n
+
+    def test_value_past_float64_is_inf(self):
+        assert math.isfinite(second_moment_degree_bound(306).value)
+        assert second_moment_degree_bound(307).value == math.inf
+
     def test_exact_rational_comparison_to_n30(self):
         for n in range(1, 31):
             bound = second_moment_degree_bound(n)

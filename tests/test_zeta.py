@@ -102,21 +102,25 @@ def _estimate(**changes):
     (lambda: zeta_abs_euler_maclaurin([math.inf]), "t must be finite"),
     (lambda: zeta_abs_euler_maclaurin([100.0, math.nan]), "t must be finite"),
     (lambda: zeta_abs_euler_maclaurin([1e9]),
-     "t = 1000000000.0 is too large for the Euler-Maclaurin route: it accepts t <= 1984 "
+     "t = 1000000000.0 is too large for the Euler-Maclaurin route: it accepts t <= 7960 "
      "(lower t_switch to use Riemann-Siegel)"),
     (lambda: zeta_abs_euler_maclaurin([1.0], n_terms=10**10), "n_terms must be at most 3989"),
     (lambda: zeta_abs_euler_maclaurin([1e5], n_terms=100),
      "n_terms = 100 is too few for t = 100000.0: the Euler-Maclaurin route needs at least "
-     "ceil(2|t|) + 8 = 200008 terms"),
+     "ceil(|t|/2) + 8 = 50008 terms"),
     (lambda: zeta_abs_euler_maclaurin([10.0, -60.0], n_terms=1),
      "n_terms = 1 is too few for t = 60.0: the Euler-Maclaurin route needs at least "
-     "ceil(2|t|) + 8 = 128 terms"),
-    (lambda: zeta_abs_euler_maclaurin([60.25], n_terms=128),
-     "n_terms = 128 is too few for t = 60.25: the Euler-Maclaurin route needs at least "
-     "ceil(2|t|) + 8 = 129 terms"),
+     "ceil(|t|/2) + 8 = 38 terms"),
+    (lambda: zeta_abs_euler_maclaurin([60.25], n_terms=38),
+     "n_terms = 38 is too few for t = 60.25: the Euler-Maclaurin route needs at least "
+     "ceil(|t|/2) + 8 = 39 terms"),
     (lambda: zeta_abs_euler_maclaurin([2.0**1023], n_terms=3989),
      f"n_terms = 3989 is too few for t = {2.0**1023!r}: the Euler-Maclaurin route needs at "
-     f"least ceil(2|t|) + 8 = {2**1024 + 8} terms"),
+     f"least ceil(|t|/2) + 8 = {2**1022 + 8} terms"),
+    # half the least subnormal rounds to 0 in float64, but its ceiling is 1
+    (lambda: zeta_abs_euler_maclaurin([5e-324], n_terms=8),
+     "n_terms = 8 is too few for t = 5e-324: the Euler-Maclaurin route needs at least "
+     "ceil(|t|/2) + 8 = 9 terms"),
     (lambda: zeta_abs_riemann_siegel([math.nan]), "Riemann-Siegel route needs t > 0"),
     (lambda: zeta_abs_riemann_siegel([math.inf]),
      "t = inf is too large for the Riemann-Siegel route: it accepts t < 1.00029e+08 "
@@ -130,7 +134,7 @@ def _estimate(**changes):
         "moments-k3", "tail-H0", "tail-step-H", "em-nan", "em-inf", "em-node-then-nan",
         "em-t-past-cap", "em-n-terms-past-cap", "em-n-terms-below-2t-1e5",
         "em-n-terms-below-2t-60", "em-n-terms-one-short", "em-n-terms-2t-past-float64",
-        "rs-nan", "rs-inf", "rs-node-then-nan", "rs-t-past-cap"])
+        "em-n-terms-half-subnormal", "rs-nan", "rs-inf", "rs-node-then-nan", "rs-t-past-cap"])
 @pytest.mark.filterwarnings("error")
 def test_guard_rejects(call, message):
     # no node is evaluated, and nothing sized by t is allocated
@@ -225,11 +229,12 @@ class TestEvaluator:
 
     def test_dirichlet_length_capped_on_both_routes(self):
         wide = ZetaEvalConfig(t_switch=1e4)
-        # 1984 is the last EM bucket within DIRICHLET_MAX_TERMS terms
-        assert zeta._em_terms(np.array([1984.0, 1984.5])).tolist() == [3976, 3992]
-        assert zeta_abs_grid([1984.0], wide)[0] > 0
-        with pytest.raises(ValueError, match=r"Euler-Maclaurin route: it accepts t <= 1984 "):
-            zeta_abs_grid([10.0, 1984.5], wide)
+        # 7960 is the last EM bucket within DIRICHLET_MAX_TERMS terms
+        assert zeta.EM_MAX_T == 7960
+        assert zeta._em_terms(np.array([7960.0, 7960.5])).tolist() == [3988, 3992]
+        assert zeta_abs_grid([7960.0], wide)[0] > 0
+        with pytest.raises(ValueError, match=r"Euler-Maclaurin route: it accepts t <= 7960 "):
+            zeta_abs_grid([10.0, 7960.5], wide)
         # the last RS node with floor(sqrt(t/2pi)) = 3989 terms
         last = 2 * math.pi * 3990**2 - 1
         assert math.floor(math.sqrt(last / (2 * math.pi))) == zeta.DIRICHLET_MAX_TERMS
@@ -263,11 +268,16 @@ class TestDirichletKernel:
         diff = zeta_abs_riemann_siegel(ts, correction_terms=0) - np.abs(main)
         assert float(np.max(np.abs(diff))) <= 1e-10
 
-    @pytest.mark.parametrize("t", [0.1, 14.134725142, 77.7, 199.0])
+    @pytest.mark.parametrize("t", [0.1, 14.134725142, 77.7, 199.0, 200.0, 500.0, 1000.0,
+                                   1500.0, 1984.0, 2500.0, 4000.0, 6000.0, 7000.0, 7960.0])
     def test_em_against_mpmath(self, t):
+        # the truncation error is below 5.6e-13 everywhere (Backlund); the
+        # rounding of the phases t log n grows with t and sets the error, which
+        # reached 3.2e-12 at random t in [200, 1984] and 8.8e-12 up to the cap
         with mp.workdps(30):
             ref = float(abs(mp.zeta(mp.mpc(0.5, t))))
-        assert zeta_abs_euler_maclaurin([t])[0] == pytest.approx(ref, abs=1e-12)
+        tol = 1e-12 if t < 200 else 2e-12 if t <= 1984 else 1e-11
+        assert zeta_abs_euler_maclaurin([t])[0] == pytest.approx(ref, abs=tol)
 
     @pytest.mark.parametrize("t, N, tol", [
         (0.0, 16, 1e-12), (3.0, 24, 1e-12), (150.0, 313, 1e-12), (1000.0, 12, 1e-12),
@@ -310,10 +320,37 @@ class TestDirichletKernel:
         assert alone[1] == 0 and alone[2] == 1
 
     def test_bucket_truncation_never_below_point_rule(self):
-        ts = np.linspace(0.0, 1000.0, 40001)
+        ts = np.linspace(0.0, zeta.EM_MAX_T, 40001)
         N = zeta._em_terms(ts)
-        assert np.all(N >= np.maximum(16, np.ceil(2 * ts) + 8))
-        assert zeta._em_terms(np.array([0.5, 8.0, 8.01, 16.0])).tolist() == [24, 24, 40, 40]
+        assert np.all(N >= np.maximum(16, np.ceil(ts / 2) + 8))
+        assert N.max() == 3988
+        ts = np.array([0.5, 16.0, 16.01, 24.0, 24.01, 200.0, 1984.0])
+        assert zeta._em_terms(ts).tolist() == [16, 16, 20, 20, 24, 108, 1000]
+
+    def test_backlund_bound_at_every_bucket_top(self):
+        # Backlund's bound on the remainder after 12 Bernoulli terms,
+        # |s+25|/(sigma+25) |B_26|/26! prod_{j<25} |s+j| N^(-sigma-25); within a
+        # bucket N is fixed and the bound grows with t, so the top is the worst
+        tops = np.arange(0.0, zeta.EM_MAX_T + 1, zeta.EM_BUCKET)
+        with mp.workdps(30):
+            coeff = abs(mp.bernoulli(26)) / mp.factorial(26)
+            bounds = {}
+            for t, n in zip(tops.tolist(), zeta._em_terms(tops).tolist()):
+                s = mp.mpc(0.5, t)
+                prod = mp.fprod(abs(s + j) for j in range(25))
+                bounds[t] = float(abs(s + 25) / 25.5 * coeff * prod * mp.mpf(n) ** -25.5)
+        assert bounds[200.0] <= 1.42e-14
+        assert bounds[1984.0] <= 2.4e-13
+        assert max(bounds.values()) == bounds[7960.0] <= 5.6e-13
+
+    def test_c1_series_against_mpmath(self):
+        ps = [(i + 0.5) / 200 for i in range(200)] + [1e-6, 1e-3, 0.999, 1 - 1e-6]
+        with mp.workdps(50):
+            def psi(p):
+                return mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
+            ref = [float(-mp.diff(psi, mp.mpf(p), 3) / (96 * mp.pi**2)) for p in ps]
+        err = np.abs(zeta._c1_series()(np.array(ps)) - ref)
+        assert err.max() <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(ts_lists)
@@ -335,7 +372,7 @@ class TestDirichletKernel:
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=20),
-           st.integers(128, 300))  # ceil(2 * 60) + 8 = 128 terms at least
+           st.integers(38, 300))  # ceil(60 / 2) + 8 = 38 terms at least
     def test_n_terms_honoured(self, ts, n_terms):
         got = zeta_abs_euler_maclaurin(ts, n_terms=n_terms)
         ref = zeta_abs_em_exp_outer(ts, n_terms=n_terms)
@@ -353,8 +390,8 @@ class TestDirichletKernel:
             assert mixed.tolist() == [zeta_abs_riemann_siegel([t], k)[0] for t in ts]
 
     def test_em_memory_bounded_near_t1000(self):
-        # 8001 nodes at N up to 2408: a (nodes x N) complex128 temporary would
-        # be 308 MB; the kernel keeps at most DIRICHLET_BYTES (8 MiB) of rows,
+        # 8001 nodes at N up to 608: a (nodes x N) complex128 temporary would
+        # be 78 MB; the kernel keeps at most DIRICHLET_BYTES (8 MiB) of rows,
         # plus a few per-node arrays, a ceiling that more nodes do not raise
         ts = 1000.0 + 0.025 * np.arange(8001)
         tracemalloc.start()
