@@ -13,9 +13,12 @@ was and changes nothing: every exact check is enforced without it.
 
 main() parses with one parser, built once per process, so in-process callers
 pay argparse construction once; build_parser() still returns a fresh parser.
+Its first call also sets the process's allocator policy (_keep_heap), never
+at import.
 """
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -272,7 +275,41 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: glibc <malloc.h> mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@cache
+def _keep_heap() -> None:
+    """Keep freed heap resident for the life of the process (glibc).
+
+    Every Dirichlet block, Euler-Maclaurin chunk and tail report allocates
+    and frees a few MB of numpy temporaries; by default glibc trims that
+    memory back to the kernel after each chunk and the next chunk faults it
+    in again.  These are the values glibc's own dynamic rule reaches after
+    freeing one 32 MiB block: an mmap threshold at its 64-bit ceiling
+    (DEFAULT_MMAP_THRESHOLD_MAX) and a trim threshold twice that.  Both are
+    set, never the trim threshold alone: any explicit mallopt turns the
+    dynamic mmap threshold off (mallopt(3)), which would send every array of
+    128 KiB or more to mmap and munmap.  The cost is up to 64 MiB of freed
+    heap kept until the process exits.  A C library without mallopt (macOS)
+    is left as it is, and so is Windows, where CDLL(None) names no library;
+    musl's mallopt does nothing.
+    """
+    if sys.platform == "win32":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_heap()
     args = _parser().parse_args(argv)
     try:
         resolve_threads(args.threads)  # whether or not the command uses it

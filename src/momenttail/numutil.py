@@ -131,6 +131,25 @@ def compensated_dot(a, b) -> float:
     return compensated_sum(np.multiply(a, b, dtype=np.float64))
 
 
+def sqrt_ratio(p: int, q: int) -> float:
+    """The correctly rounded float of sqrt(p / q), for integers p >= 0, q > 0.
+
+    r = isqrt(p 4^k // q) is floor(sqrt(p / q) 2^k), with k chosen so that r
+    has at least 55 bits; setting its last bit when r^2 q != p 4^k (a sticky
+    bit) rounds it to odd, and int / int then rounds once more, to nearest,
+    which gives the correctly rounded root (two extra bits suffice).
+    OverflowError past the float64 range.
+    """
+    if p < 0 or q <= 0:
+        raise ValueError(f"sqrt_ratio needs p >= 0 and q > 0, got {p} and {q}")
+    k = max(0, (112 - p.bit_length() + q.bit_length()) // 2 + 1)
+    scaled = p << 2 * k
+    r = math.isqrt(scaled // q)
+    if r * r * q != scaled:
+        r |= 1
+    return r / (1 << k)
+
+
 @lru_cache(maxsize=None)
 def log_factorial(n: int) -> float:
     """log(n!) by exact summation of log k; stable for any n that fits in memory."""

@@ -46,7 +46,7 @@ from operator import mul
 import numpy as np
 
 from .moments import TheoremViolationError
-from .numutil import LogReal, log_factorial, resolve_threads
+from .numutil import LogReal, log_factorial, resolve_threads, sqrt_ratio
 
 ENUM_LIMIT = 8
 MC_CHUNK = 4096
@@ -641,9 +641,11 @@ def _det_stats(
     the matrices walked, each standing for weight of them (enumeration walks
     one per class).  Each chunk is folded into running totals as it comes, so
     memory does not grow with the chunk count.  A seed marks a Monte Carlo
-    estimate, with standard errors from the unbiased sample variances.  Every
-    float is one correctly rounded quotient of exact integers, as int / int
-    rounds once; the variances are >= 0 exactly (Cauchy-Schwarz), so their
+    estimate, with standard errors from the unbiased sample variances.  s1 is
+    the correctly rounded quotient of exact integers, as int / int rounds
+    once, and s2 the correctly rounded root of one (sqrt_ratio); each
+    standard error rounds its variance quotient, its root and, for s2, one
+    division.  The variances are >= 0 exactly (Cauchy-Schwarz), so their
     roundings are too."""
     sum_abs = sum_d2 = sum_d4 = max_abs = 0
     for part_abs, part_d2, part_d4, part_max in parts:
@@ -653,7 +655,7 @@ def _det_stats(
         max_abs = max(max_abs, part_max)
     sum_abs, sum_d2, sum_d4 = sum_abs * weight, sum_d2 * weight, sum_d4 * weight
     s1 = sum_abs / count
-    s2 = math.sqrt(sum_d2 / count)
+    s2 = sqrt_ratio(sum_d2, count)
     stderr_s1 = stderr_s2 = None
     if seed is not None:
         N = count

@@ -19,7 +19,7 @@ from math import factorial, prod
 from operator import sub
 
 from .moments import TheoremViolationError
-from .numutil import LogReal, log_factorial
+from .numutil import LogReal, log_factorial, sqrt_ratio
 
 #: p(60) = 966467 rows is the desk-scale ceiling for full tables
 N_GUARD = 60
@@ -183,8 +183,10 @@ def degree_table(n: int) -> DegreeTable:
 class XiMoments:
     """Moments of the normalized degree chi(1)/sqrt(n!) under the uniform choice.
 
-    e_xi = t(n) / (p(n) sqrt(n!)) and e_xi2 = 1/p(n), both exact up to the one
-    float conversion; asymptotic counterparts ride along for ratio reports.
+    e_xi = t(n) / (p(n) sqrt(n!)) and e_xi2 = 1/p(n), each the correctly
+    rounded float of its exact value.  e_xi_log and e_xi2_log are their
+    natural logs, computed as sums of logs (not rounded once); asymptotic
+    counterparts ride along for ratio reports.
     """
 
     n: int
@@ -221,7 +223,7 @@ def xi_moments(n: int) -> XiMoments:
         n=n,
         p_n=p_n,
         t_n=t_n,
-        e_xi=math.exp(e_xi_log),
+        e_xi=sqrt_ratio(t_n * t_n, p_n * p_n * factorial(n)),
         e_xi_log=e_xi_log,
         e_xi2=1.0 / p_n,
         e_xi2_log=e_xi2_log,

@@ -56,10 +56,12 @@ _B2K = [
 
 # Nodes per evaluation chunk: bounds the per-node temporaries of the
 # correction terms (about ten arrays of the chunk's size) for any grid.  One
-# _eval_grid call per grid was measured worse (2 CPUs): tracemalloc peak at the
-# Simpson cap 89 -> 153 MiB for tail T = 100, H = 1, step 2^-20, and
-# 52 -> 173 MiB for moments T = 10, H = 1, k = 2, step 2^-19; that tail
-# request 2.36 -> 2.92 s, and an EM-heavy window 76 -> 97 ms.
+# _eval_grid call per grid was measured worse (2 CPUs, in-process with
+# cli.main's heap policy, best of 3 in two runs): tracemalloc peak at the
+# Simpson cap 75 -> 145 MiB for tail T = 100, H = 1, step 2^-20, and
+# 52 -> 169 MiB for moments T = 10, H = 1, k = 2, step 2^-19; that tail
+# request 0.40-0.49 -> 0.53-0.62 s and that moments request 0.29-0.40 ->
+# 0.62-0.71 s.  An EM-heavy window (8001 nodes) is one chunk either way.
 _EVAL_CHUNK = 8192
 
 # Bytes of the complex128 rows that one _dirichlet block keeps as factors
@@ -67,7 +69,8 @@ _EVAL_CHUNK = 8192
 # set is bounded for every t and t_switch: about 9530 nodes per block (more
 # than one _EVAL_CHUNK) at N = 108 (Euler-Maclaurin, t <= 200), 1720 at
 # N = 608 (t <= 1200) and 262 at N = 3988 (t <= EM_MAX_T).  Halving it costs
-# 1.6x in time at N = 2408, where blocks get short.
+# 1.3-1.7x in time at N = 2408 and 1.7-2.2x at N = 3988, where blocks get short
+# (8192 nodes, 2 CPUs, with cli.main's heap policy, best of 7 in two runs).
 DIRICHLET_BYTES = 8 << 20
 
 #: width in |t| of the buckets that share one Euler-Maclaurin truncation

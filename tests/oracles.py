@@ -6,6 +6,7 @@ sum and the masked Riemann-Siegel loop) take one transcendental call per
 (node, term) where the package multiplies rows, the determinant oracles are
 plain cofactor expansion and scalar Bareiss elimination with row swaps (no
 batched kernel swaps rows), the Pfaffian oracle expands along the first row,
+the square-root oracle steps from float to float against exact midpoints,
 the involution oracle walks every permutation, the degree oracle multiplies
 the hook length of every cell, the partition oracle sorts the parts of every
 composition, the distribution oracles sum per-entry generators over (value,
@@ -17,7 +18,9 @@ csv.reader one row at a time.
 import csv
 import itertools
 import math
+import struct
 import sys
+from fractions import Fraction
 from typing import IO
 
 import mpmath as mp
@@ -196,6 +199,23 @@ def pfaffian_exact(matrix: SkewSignMatrix) -> int:
         return total
 
     return pf(tuple(range(matrix.n)))
+
+
+def sqrt_nearest(v: Fraction) -> float:
+    """The float nearest sqrt(v), ties to even, for a rational v >= 0: step
+    from math.sqrt(float(v)) until v lies between the squares of the
+    midpoints from the float to its two neighbours."""
+    x = math.sqrt(float(v))
+    while True:
+        lo = (Fraction(math.nextafter(x, 0.0)) + Fraction(x)) / 2
+        hi = (Fraction(math.nextafter(x, math.inf)) + Fraction(x)) / 2
+        odd = struct.unpack("<q", struct.pack("<d", x))[0] & 1
+        if v < lo * lo or (v == lo * lo and odd):
+            x = math.nextafter(x, 0.0)
+        elif v > hi * hi or (v == hi * hi and odd):
+            x = math.nextafter(x, math.inf)
+        else:
+            return x
 
 
 def skew_from_bits(n: int, bits: int, convention: str = "zero") -> SkewSignMatrix:

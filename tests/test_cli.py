@@ -1,6 +1,7 @@
 """CLI contract tests: flags, exit codes, formats, determinism."""
 
 import contextlib
+import ctypes
 import io
 import json
 import math
@@ -488,20 +489,25 @@ class TestRepro:
         assert chars["bound_satisfied"] is True
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child process that imports this package's src/."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _fresh_interpreter(argv, patch=""):
     """Reply of `mtl argv` from a new process: its parser is built anew.
 
     patch is Python source run in that process first; the module then runs
     as `python -m momenttail.cli` would run it."""
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     entry = ["-m", "momenttail.cli"]
     if patch:
         entry = ["-c", f"{patch}\nimport runpy\nrunpy.run_module('momenttail.cli', run_name='__main__')"]
     proc = subprocess.run(
         [sys.executable, *entry, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -550,6 +556,42 @@ class TestSharedParser:
         out = capsys.readouterr().out
         assert out == cli.build_parser().format_help()
         assert max(len(line) for line in out.splitlines()) <= int(columns)
+
+
+#: in a fresh process, call main() twice on each argv and print the minor page
+#: faults of every second call
+_SECOND_CALL_FAULTS = """
+import contextlib, io, json, resource, sys
+from momenttail import cli
+
+def faults(argv):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+argvs = json.loads(sys.argv[1])
+print(json.dumps([[faults(argv), faults(argv)][1] for argv in argvs]))
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform == "win32" or not hasattr(ctypes.CDLL(None), "mallopt"),
+    reason="the C library has no mallopt",
+)
+def test_second_call_does_not_fault_its_heap_in_again():
+    # main() keeps freed heap resident, so a repeated zeta grid reuses the
+    # memory its first call freed instead of faulting it in page by page
+    # (about 900 and 1,300-1,600 faults per call with glibc's default trimming)
+    argvs = [
+        ["zeta", "tail", "--T", "2500", "--H", "1000"],
+        ["zeta", "moments", "--T", "0.5", "--H", "200", "--k", "4", "--t-switch", "200"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SECOND_CALL_FAULTS, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env(), timeout=120, check=True,
+    )
+    assert all(count < 200 for count in json.loads(proc.stdout)), proc.stdout
 
 
 # 0 or 10^U(-320, 308): subnormal through near the float64 maximum

@@ -19,8 +19,11 @@ from momenttail.numutil import (
     exact_sums,
     log_factorial,
     resolve_threads,
+    sqrt_ratio,
     to_json,
 )
+
+from oracles import sqrt_nearest
 
 
 def test_compensated_sum_beats_naive():
@@ -196,6 +199,28 @@ class TestExactSums:
     def test_keys_must_match_terms(self):
         with pytest.raises(ValueError, match="one key per term"):
             exact_sums(np.ones(3), np.ones(2), [0.0])
+
+
+class TestSqrtRatio:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**300), st.integers(1, 2**300))
+    @example(2, 1)
+    @example(1, 4)
+    @example(3, 2**2148)  # subnormal root
+    @example(2**106 + 2**54 + 1, 1)  # (2^53 + 1)^2: a tie, to the even 2^53
+    @example(2**106 + 2**54 + 2, 1)  # just above it: 2^53 + 2
+    def test_is_the_rounded_root(self, p, q):
+        assert sqrt_ratio(p, q) == sqrt_nearest(Fraction(p, q))
+
+    def test_exact_roots(self):
+        assert (sqrt_ratio(0, 7), sqrt_ratio(49, 4), sqrt_ratio(1, 2**2148)) == (0.0, 3.5, 5e-324)
+
+    def test_bad_arguments_and_overflow_raise(self):
+        for p, q in ((-1, 1), (1, 0), (1, -4)):
+            with pytest.raises(ValueError, match="p >= 0 and q > 0"):
+                sqrt_ratio(p, q)
+        with pytest.raises(OverflowError):
+            sqrt_ratio(2**2100, 1)
 
 
 def test_log_factorial_small():
