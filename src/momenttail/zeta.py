@@ -9,15 +9,17 @@ Two evaluation routes for |zeta(1/2 + it)|:
   where Backlund's remainder bound is below 5.6e-13 up to EM_MAX_T.
 * Riemann-Siegel: main sum of length floor(sqrt(t/2pi)) with the theta phase
   from its Stirling expansion, plus 0-2 correction terms built from the
-  classical psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).
+  classical psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p) and its third
+  derivative, each a polynomial fitted once in s = (2p - 1)^2 and within
+  3e-16 of its term.
 
 Both routes take their Dirichlet sums sum_{n<=N} n^(-1/2-it) from one kernel.
 n^(-it) is completely multiplicative, so only a prime n costs a transcendental
 call, one tangent of the half phase (_cis); a composite row is one complex
-product of two earlier rows.  Nodes go through the kernel in blocks whose
-stored rows fit a fixed byte budget, so memory is bounded for any t, and every
-step is elementwise, so a value depends on its own t alone, not on the grid it
-was evaluated in.
+product of two earlier rows, each kept only until the last row that reads it.
+Nodes go through the kernel in blocks whose stored rows fit a fixed byte
+budget, so memory is bounded for any t, and every step is elementwise, so a
+value depends on its own t alone, not on the grid it was evaluated in.
 
 Windowed moments of |zeta|^k (k = 2 or 4) use composite Simpson quadrature
 with a built-in step-halving convergence record: the check halves every
@@ -31,7 +33,6 @@ distribution with moments.check_tail_inequality, where it is exact.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import numpy as np
 
@@ -64,13 +65,14 @@ _B2K = [
 # 0.62-0.71 s.  An EM-heavy window (8001 nodes) is one chunk either way.
 _EVAL_CHUNK = 8192
 
-# Bytes of the complex128 rows that one _dirichlet block keeps as factors
-# (rows n <= N/2 of every node in the block), so the Dirichlet-sum working
-# set is bounded for every t and t_switch: about 9530 nodes per block (more
-# than one _EVAL_CHUNK) at N = 108 (Euler-Maclaurin, t <= 200), 1720 at
-# N = 608 (t <= 1200) and 262 at N = 3988 (t <= EM_MAX_T).  Halving it costs
-# 1.3-1.7x in time at N = 2408 and 1.7-2.2x at N = 3988, where blocks get short
-# (8192 nodes, 2 CPUs, with cli.main's heap policy, best of 7 in two runs).
+# Bytes of the complex128 rows that one _dirichlet block could keep as
+# factors (rows n <= N/2 of every node in the block, each dropped after its
+# last reader), so the Dirichlet-sum working set is bounded for every t and
+# t_switch: about 9530 nodes per block (more than one _EVAL_CHUNK) at N = 108
+# (Euler-Maclaurin, t <= 200), 1720 at N = 608 (t <= 1200) and 262 at
+# N = 3988 (t <= EM_MAX_T).  Halving it costs 1.3-1.7x in time at N = 2408
+# and 1.7-2.2x at N = 3988, where blocks get short (8192 nodes, 2 CPUs, with
+# cli.main's heap policy, best of 7 in two runs).
 DIRICHLET_BYTES = 8 << 20
 
 #: width in |t| of the buckets that share one Euler-Maclaurin truncation
@@ -160,10 +162,11 @@ def _dirichlet(ts, N) -> np.ndarray:
     Rows are n^(-1/2 - it) over the nodes, formed in ascending n.  A prime
     row costs one tangent of t * (-log n) / 2 (_cis); a composite row is the
     product of the rows of p and n // p, p its least prime factor (n^(-s) is
-    completely multiplicative).  Only rows n <= N/2 are kept as factors.
-    Nodes are sorted by N once, and row n covers only the suffix of nodes
-    with N_j >= n.  Every step is elementwise, so S_j depends on t_j and N_j
-    alone.  Nodes go in blocks whose kept rows stay within DIRICHLET_BYTES.
+    completely multiplicative).  Only rows n <= N/2 are read as factors, and
+    each is dropped after the last row that reads it.  Nodes are sorted by N
+    once, and row n covers only the suffix of nodes with N_j >= n.  Every
+    step is elementwise, so S_j depends on t_j and N_j alone.  Nodes go in
+    blocks whose rows n <= N/2 would fit in DIRICHLET_BYTES.
     """
     ts = np.asarray(ts, dtype=float)
     bounds = np.broadcast_to(np.asarray(N, dtype=np.int64), ts.shape)
@@ -171,15 +174,29 @@ def _dirichlet(ts, N) -> np.ndarray:
     order = np.argsort(bounds, kind="stable")
     top = int(bounds[order[-1]])
     lpf = _least_prime_factors(top)
+    # a row whose last reader lies past a block's own top is kept to its end
+    last = _last_reads(lpf, top)
     size = max(1, DIRICHLET_BYTES // (16 * (top // 2 + 1)))
     for lo in range(0, ts.size, size):
         idx = order[lo : lo + size]
-        out[idx] = _dirichlet_block(ts[idx], bounds[idx], lpf)
+        out[idx] = _dirichlet_block(ts[idx], bounds[idx], lpf, last)
     return out
 
 
-def _dirichlet_block(ts: np.ndarray, bounds: np.ndarray, lpf: list[int]) -> np.ndarray:
-    """_dirichlet on nodes sorted by their bounds."""
+def _last_reads(lpf: list[int], top: int) -> list[int]:
+    """last[k], k <= top/2: the last n <= top whose row is a product with row
+    k (k = p or n // p for p = lpf[n]); every k >= 2 has one, 2k at least."""
+    last = [0] * (top // 2 + 1)
+    for n in range(4, top + 1):
+        p = lpf[n]
+        if p:
+            last[p] = last[n // p] = n
+    return last
+
+
+def _dirichlet_block(ts: np.ndarray, bounds: np.ndarray, lpf: list[int],
+                     last: list[int]) -> np.ndarray:
+    """_dirichlet on nodes sorted by their bounds; last from _last_reads."""
     top = int(bounds[-1])
     # starts[n]: the first node whose bound reaches n
     starts = np.searchsorted(bounds, np.arange(top + 1)).tolist()
@@ -191,6 +208,10 @@ def _dirichlet_block(ts: np.ndarray, bounds: np.ndarray, lpf: list[int]) -> np.n
         if p:
             q = n // p
             row = rows[p][start - starts[p] :] * rows[q][start - starts[q] :]
+            if last[p] == n:
+                rows[p] = None
+            if last[q] == n:
+                rows[q] = None
         else:
             row = _cis(ts[start:] * -math.log(n), n**-0.5)
         total[start:] += row
@@ -253,8 +274,8 @@ def zeta_abs_euler_maclaurin(ts, n_terms: int | None = None) -> np.ndarray:
         return np.empty(0)
     _check_em(ts, n_terms)
     N = _em_terms(ts) if n_terms is None else np.full(ts.shape, n_terms, dtype=np.int64)
-    s = 0.5 + 1j * ts
     total = _dirichlet(ts, N)
+    s = 0.5 + 1j * ts
     # N^{-s} once; the other powers of N are real multiples of it
     n_s = _cis(-ts * np.log(N), N**-0.5)
     total += N * n_s / (s - 1) - 0.5 * n_s
@@ -272,51 +293,55 @@ def zeta_abs_euler_maclaurin(ts, n_terms: int | None = None) -> np.ndarray:
 
 
 def riemann_siegel_theta(ts) -> np.ndarray:
-    """theta(t) from the Stirling expansion; accurate to ~1e-12 for t >= 10."""
+    """theta(t) from the Stirling expansion through t^-5, its tail by Horner
+    in 1/t; the truncation error is 3e-11 at t = 10 and falls like t^-7."""
     ts = np.asarray(ts, dtype=float)
+    r = 1.0 / ts
+    r2 = r * r
     return (
         ts / 2 * np.log(ts / (2 * math.pi))
         - ts / 2
         - math.pi / 8
-        + 1 / (48 * ts)
-        + 7 / (5760 * ts**3)
-        + 31 / (80640 * ts**5)
+        + r * (1 / 48 + r2 * (7 / 5760 + r2 * (31 / 80640)))
     )
 
 
-def _psi(p) -> np.ndarray:
-    """psi(p) = cos(2pi(p^2-p-1/16))/cos(2pi p) for p in [0,1], entire in p.
+# The Riemann-Siegel corrections are pure functions of p = frac(sqrt(t/2pi))
+# (Gabcke, thesis, Goettingen 1979).  psi(p) = cos(2pi(p^2-p-1/16))/cos(2pi p)
+# is even about p = 1/2 and psi''' is odd, so with y = 2p - 1 and s = y^2,
+# psi(p) = P(s) and -psi'''(p)/(96 pi^2) = y Q(s).  P and Q are Chebyshev
+# interpolants in s on [0, 1] at degree + 1 Chebyshev points, solved for in
+# monomials once in mpmath at 40 digits (psi''' by mpmath.diff) and rounded
+# once; tests/oracles.py re-fits them.  Largest |error| against mpmath at 50
+# digits, over the 200 midpoints of (0, 1) and p in {1e-6, 1e-3, 0.999,
+# 1 - 1e-6}:
+#   degree   9        10       11       12
+#   P        3.4e-14  1.1e-14  2.2e-16  1.1e-16
+#   y Q      1.9e-13  1.1e-14  2.9e-16  1.4e-17
+# P takes degree 12 and Q degree 11, the first degrees at the rounding of
+# their terms; no coefficient exceeds 0.44 in magnitude.
+_PSI_EVEN = (
+    0.3826834323650898, 0.43724046807752187, 0.13237657548026333,
+    -0.013605026045915401, -0.01356762199010657, -0.0016237251880640525,
+    0.0002970529535571673, 7.94346923849386e-05, 4.6225811028998447e-07,
+    -1.428319167927862e-06, -1.074473700503142e-07, 1.4501716654003737e-08,
+    1.1732667371643235e-09,
+)
+_C1_ODD = (
+    -0.02682510262837566, 0.013784773426442406, 0.038491250477916246,
+    0.009871066379766293, -0.0033107605403268525, -0.0014647764135823067,
+    -1.3224014763821265e-05, 5.926579220682624e-05, 5.919276361209359e-06,
+    -8.999403898240696e-07, -2.262884042829333e-07, 2.0972855736941923e-08,
+)
 
-    Evaluated through sin-quotient rearrangements centered on the removable
-    zeros of the denominator at p = 1/4 (used on [0, 1/2]) and p = 3/4
-    (used on (1/2, 1]), so no cancellation occurs anywhere in [0, 1].  Each
-    is evaluated only on its own half, where its sinc denominator has no zero.
-    """
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    low = p <= 0.5
-    u = p[low] - 0.25
-    out[low] = ((1 - 2 * u) / 2) * np.sinc(u - 2 * u * u) / np.sinc(2 * u)
-    v = p[~low] - 0.75
-    out[~low] = ((1 + 2 * v) / 2) * np.sinc(v + 2 * v * v) / np.sinc(2 * v)
+
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k elementwise by Horner's rule, in one array."""
+    out = np.full(x.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
     return out
-
-
-@cache
-def _c1_series():
-    """Chebyshev form of the second correction term -psi'''(p)/(96 pi^2).
-
-    psi is interpolated at degree 18, the most accurate in a scan against
-    mpmath.diff at 50 digits: the largest |error| over the 200 midpoints of
-    (0, 1) and p in {1e-6, 1e-3, 0.999, 1 - 1e-6} was 3.7e-7 at degree 16,
-    7.7e-11 at 18, 1.1e-9 at 20, 2.9e-10 at 22, 2.4e-10 at 24, 2.5e-9 at 30,
-    7.2e-9 at 40 and 1.0e-5 at 80.  psi is symmetric about p = 1/2, so its
-    odd Chebyshev terms vanish; below 18 the truncation dominates (the first
-    term dropped at 18 is 1.4e-14), above it the rounding of psi, which three
-    derivatives multiply by about degree^6.
-    """
-    cheb = np.polynomial.chebyshev.Chebyshev.interpolate(_psi, 18, domain=[0.0, 1.0])
-    return cheb.deriv(3) * (-1.0 / (96.0 * math.pi**2))
 
 
 def _check_rs(ts: np.ndarray):
@@ -355,9 +380,14 @@ def zeta_abs_riemann_siegel(ts, correction_terms: int = 2) -> np.ndarray:
     S = _dirichlet(ts, N)
     z = 2.0 * (_cis(th) * S).real
     if correction_terms >= 1:
-        corr = _psi(p)
+        y = 2.0 * p - 1.0
+        s = y * y
+        corr = _horner(_PSI_EVEN, s)
         if correction_terms >= 2:
-            corr = corr + _c1_series()(p) / a
+            c1 = _horner(_C1_ODD, s)
+            c1 *= y
+            c1 /= a
+            corr += c1
         z += np.where(N % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
     return np.abs(z)
 

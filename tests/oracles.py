@@ -125,6 +125,55 @@ def rs_main_sum_masked(ts, theta) -> np.ndarray:
     return z
 
 
+def psi_sinc(p) -> np.ndarray:
+    """psi(p) = cos(2pi(p^2-p-1/16))/cos(2pi p) for p in [0,1], entire in p.
+
+    Evaluated through sin-quotient rearrangements centered on the removable
+    zeros of the denominator at p = 1/4 (used on [0, 1/2]) and p = 3/4
+    (used on (1/2, 1]), so no cancellation occurs anywhere in [0, 1].  Each
+    is evaluated only on its own half, where its sinc denominator has no zero.
+    The float reference for the fitted zeta._PSI_EVEN on dense grids.
+    """
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    low = p <= 0.5
+    u = p[low] - 0.25
+    out[low] = ((1 - 2 * u) / 2) * np.sinc(u - 2 * u * u) / np.sinc(2 * u)
+    v = p[~low] - 0.75
+    out[~low] = ((1 + 2 * v) / 2) * np.sinc(v + 2 * v * v) / np.sinc(2 * v)
+    return out
+
+
+def psi_mp(p):
+    """psi(p) in mpmath at the working precision."""
+    return mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
+
+
+def second_correction_mp(p):
+    """-psi'''(p)/(96 pi^2), the second Riemann-Siegel correction, in mpmath."""
+    return -mp.diff(psi_mp, p, 3) / (96 * mp.pi**2)
+
+
+def rs_correction_fit(odd: bool, degree: int) -> tuple[float, ...]:
+    """Monomial coefficients in s = (2p - 1)^2 of P (psi(p) = P(s)), or with
+    odd of Q (-psi'''(p)/(96 pi^2) = (2p - 1) Q(s)), each rounded once.
+
+    The interpolant in s at the degree + 1 Chebyshev points of [0, 1] is
+    solved for in monomials in mpmath at 40 digits.
+    """
+    with mp.workdps(40):
+        def f(s):
+            y = mp.sqrt(s)
+            p = (1 + y) / 2
+            return second_correction_mp(p) / y if odd else psi_mp(p)
+
+        m = degree + 1
+        nodes = [(1 + mp.cos(mp.pi * (2 * k + 1) / (2 * m))) / 2 for k in range(m)]
+        vandermonde = mp.matrix([[x**i for i in range(m)] for x in nodes])
+        coeffs = mp.lu_solve(vandermonde, mp.matrix([f(x) for x in nodes]))
+        return tuple(float(c) for c in coeffs)
+
+
 def det_cofactor(rows: list[list[int]]) -> int:
     """Exact determinant by first-row cofactor expansion (use only for tiny n)."""
     n = len(rows)

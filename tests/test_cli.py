@@ -594,6 +594,21 @@ def test_second_call_does_not_fault_its_heap_in_again():
     assert all(count < 200 for count in json.loads(proc.stdout)), proc.stdout
 
 
+def test_zeta_commands_do_not_import_numpy_polynomial():
+    # the Riemann-Siegel corrections are literal polynomials, not numpy series
+    code = """
+import contextlib, io, sys
+from momenttail import cli
+for argv in (["zeta", "tail", "--T", "2500", "--H", "50"], ["repro"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print("numpy.polynomial" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120, check=True)
+    assert proc.stdout == "False\n"
+
+
 # 0 or 10^U(-320, 308): subnormal through near the float64 maximum
 wide_floats = st.one_of(st.just(0.0), st.floats(-320.0, 308.0).map(lambda e: 10.0**e))
 

@@ -30,7 +30,11 @@ from momenttail.zeta import (
 )
 
 from oracles import (
+    psi_mp,
+    psi_sinc,
+    rs_correction_fit,
     rs_main_sum_masked,
+    second_correction_mp,
     simpson_halving_estimate,
     trapezoid_moment,
     zeta_abs_em_exp_outer,
@@ -210,12 +214,16 @@ class TestEvaluator:
         with np.errstate(invalid="ignore", divide="ignore"):
             low = ((1 - 2 * u) / 2) * np.sinc(u - 2 * u * u) / np.sinc(2 * u)
             high = ((1 + 2 * v) / 2) * np.sinc(v + 2 * v * v) / np.sinc(2 * v)
-        got = zeta._psi(p)  # a division warning would fail the suite
+        got = psi_sinc(p)  # a division warning would fail the suite
         assert np.array_equal(got, np.where(p <= 0.5, low, high))
         assert np.isfinite(got).all()
         direct = np.cos(2 * np.pi * (p * p - p - 1 / 16)) / np.cos(2 * np.pi * p)
         away = np.abs(np.cos(2 * np.pi * p)) > 0.1
         assert np.allclose(got[away], direct[away], rtol=1e-12)
+        # the reference for P, the fitted psi that zeta_abs_riemann_siegel
+        # uses, on the whole dense grid (3.3e-16 at most at degree 12)
+        y = 2.0 * p - 1.0
+        assert np.abs(zeta._horner(zeta._PSI_EVEN, y * y) - got).max() <= 1e-15
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
@@ -312,6 +320,27 @@ class TestDirichletKernel:
                       for p, g in zip(phases.tolist(), got.tolist()))
         assert err <= 4e-16 * scale
 
+    def test_dropped_rows_change_no_bit(self):
+        # a row dropped after its last reader against every row kept to the end
+        ts = np.concatenate((np.linspace(0.0, 7960.0, 301), [14.1, 1e6, 3e7]))
+        bounds = np.concatenate((zeta._em_terms(ts[:301]), [16, 398, 2185]))
+        dropped = zeta._dirichlet(ts, bounds)
+        with mock.patch.object(zeta, "_last_reads", lambda lpf, top: [0] * (top // 2 + 1)):
+            kept = zeta._dirichlet(ts, bounds)
+        assert dropped.tolist() == kept.tolist()
+
+    def test_last_reads_against_trial_division(self):
+        top = 1000
+        lpf = zeta._least_prime_factors(top)
+        last = [0] * (top // 2 + 1)
+        for n in range(2, top + 1):
+            p = next(d for d in range(2, n + 1) if n % d == 0)
+            if p < n:
+                last[p] = max(last[p], n)
+                last[n // p] = max(last[n // p], n)
+        assert zeta._last_reads(lpf, top) == last
+        assert all(last[k] >= 2 * k for k in range(2, top // 2 + 1))
+
     def test_per_node_bounds(self):
         ts = np.array([5.0, 120.0, 0.3, 60.0, 7.5])
         bounds = np.array([40, 0, 1, 250, 97])
@@ -343,14 +372,37 @@ class TestDirichletKernel:
         assert bounds[1984.0] <= 2.4e-13
         assert max(bounds.values()) == bounds[7960.0] <= 5.6e-13
 
-    def test_c1_series_against_mpmath(self):
-        ps = [(i + 0.5) / 200 for i in range(200)] + [1e-6, 1e-3, 0.999, 1 - 1e-6]
+    # the 200 midpoints of (0, 1) and four points near its ends
+    CORRECTION_PS = [(i + 0.5) / 200 for i in range(200)] + [1e-6, 1e-3, 0.999, 1 - 1e-6]
+
+    def test_psi_polynomial_against_mpmath(self):
+        p = np.array(self.CORRECTION_PS)
         with mp.workdps(50):
-            def psi(p):
-                return mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
-            ref = [float(-mp.diff(psi, mp.mpf(p), 3) / (96 * mp.pi**2)) for p in ps]
-        err = np.abs(zeta._c1_series()(np.array(ps)) - ref)
-        assert err.max() <= 1e-9
+            ref = [float(psi_mp(mp.mpf(x))) for x in p.tolist()]
+        y = 2.0 * p - 1.0
+        err = np.abs(zeta._horner(zeta._PSI_EVEN, y * y) - ref)
+        assert err.max() <= 1e-15
+
+    def test_second_correction_against_mpmath(self):
+        # y Q(s), the form zeta_abs_riemann_siegel adds (divided by a)
+        p = np.array(self.CORRECTION_PS)
+        with mp.workdps(50):
+            ref = [float(second_correction_mp(mp.mpf(x))) for x in p.tolist()]
+        y = 2.0 * p - 1.0
+        err = np.abs(y * zeta._horner(zeta._C1_ODD, y * y) - ref)
+        assert err.max() <= 1e-15
+
+    def test_correction_coefficients_are_the_rounded_fit(self):
+        assert zeta._PSI_EVEN == rs_correction_fit(odd=False, degree=12)
+        assert zeta._C1_ODD == rs_correction_fit(odd=True, degree=11)
+
+    def test_theta_against_mpmath(self):
+        ts = np.concatenate(([10.0, 14.1, 50.0, 1e3, 1e6, 1e8],
+                             np.random.default_rng(34).uniform(10.0, 5000.0, 100)))
+        with mp.workdps(40):
+            ref = np.array([float(mp.siegeltheta(t)) for t in ts.tolist()])
+        err = np.abs(riemann_siegel_theta(ts) - ref)
+        assert np.all(err <= 3.1e-11 * (10.0 / ts) ** 7 + 4e-16 * np.abs(ref))
 
     @settings(max_examples=60, deadline=None)
     @given(ts_lists)
@@ -401,6 +453,20 @@ class TestDirichletKernel:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_em_heavy_grid_memory(self):
+        # the 8001-node halved grid of an EM-heavy window: each factor row is
+        # dropped after the last row that reads it. Kept rows read 6.9 MB and
+        # dropped rows 4.9 MB; the bound sits between them, with about 1 MB
+        # of room above the dropped-row peak for allocation changes elsewhere
+        cfg = ZetaEvalConfig(t_switch=200.0)
+        tracemalloc.start()
+        try:
+            moment_integral(0.5, 200.0, 2, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.9e6
 
 
 class TestMainTerms:
