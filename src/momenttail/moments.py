@@ -61,10 +61,6 @@ class DegenerateDistributionError(ValueError):
     """Raised when a distribution has zero mean and cannot be normalized."""
 
 
-class InconsistentMomentsError(ValueError):
-    """Raised when a supplied moment pair violates the Cauchy-Schwarz relation."""
-
-
 class TheoremViolationError(RuntimeError):
     """An exact finite-support inequality failed; indicates an implementation bug."""
 
@@ -270,15 +266,6 @@ def moment(dist: EmpiricalDistribution, k: int) -> float:
     return total / dist.total_weight
 
 
-def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:
-    """Second-moment mass strictly above b: sum over v > b of w * v^2 / sum(w).
-
-    The threshold is strict, so atoms sitting exactly at b are excluded.
-    The sum is exactly rounded, the same float as math.fsum of the terms.
-    """
-    return _tail_sums(dist, [b])[0] / dist.total_weight
-
-
 def _tail_sums(dist: EmpiricalDistribution, b_grid: Sequence[float]) -> list[float]:
     """For each b of b_grid, the sum of (w * v) * v over v > b, as math.fsum
     gives it: exactly rounded, inf when an infinite term is in it, and
@@ -394,21 +381,6 @@ class _ExactCheck:
     def max_holds(self) -> bool:
         _, _, _, mean, a = self._sums
         return Fraction(self.dist.max_value) * mean >= a and self._near(self.a, a)
-
-
-def max_lower_bound(m1: float, m2: float) -> float:
-    """Existence bound max >= m2 / m1 from a first and second moment.
-
-    Requires m1 > 0 and m2 >= m1^2 (any real distribution satisfies the
-    latter); a pair violating it is not a moment pair.
-    """
-    if m1 <= 0:
-        raise ValueError("first moment must be positive")
-    if m2 < m1 * m1 * (1.0 - 1e-12):
-        raise InconsistentMomentsError(
-            f"m2 = {m2} < m1^2 = {m1 * m1}: not a legal moment pair"
-        )
-    return m2 / m1
 
 
 def load_distribution_csv(source: str | IO[str]) -> EmpiricalDistribution:

@@ -15,8 +15,10 @@ Two evaluation routes for |zeta(1/2 + it)|:
 
 Both routes take their Dirichlet sums sum_{n<=N} n^(-1/2-it) from one kernel.
 n^(-it) is completely multiplicative, so only a prime n costs a transcendental
-call, one tangent of the half phase (_cis); a composite row is one complex
-product of two earlier rows, each kept only until the last row that reads it.
+call, one tangent of the half phase (_cis); a composite row n = q p, p its
+largest prime factor, is one complex product of the rows of q and p, formed
+in a depth-first walk over the composites that keeps one row per depth.  So
+the kernel stores the prime rows p <= N/2 and at most floor(log2 N) more.
 Nodes go through the kernel in blocks whose stored rows fit a fixed byte
 budget, so memory is bounded for any t, and every step is elementwise, so a
 value depends on its own t alone, not on the grid it was evaluated in.
@@ -38,8 +40,6 @@ import numpy as np
 
 from .moments import EmpiricalDistribution, check_tail_inequality
 from .numutil import compensated_dot, exact_sums, resolve_threads
-
-EULER_GAMMA = 0.5772156649015329
 
 #: candidate coefficients for the large-value cutoff c * log^{3/2}(T) on
 #: |zeta|.  COEFF_HIGH is the value at which that cutoff coincides with
@@ -65,14 +65,14 @@ _B2K = [
 # 0.62-0.71 s.  An EM-heavy window (8001 nodes) is one chunk either way.
 _EVAL_CHUNK = 8192
 
-# Bytes of the complex128 rows that one _dirichlet block could keep as
-# factors (rows n <= N/2 of every node in the block, each dropped after its
-# last reader), so the Dirichlet-sum working set is bounded for every t and
-# t_switch: about 9530 nodes per block (more than one _EVAL_CHUNK) at N = 108
-# (Euler-Maclaurin, t <= 200), 1720 at N = 608 (t <= 1200) and 262 at
-# N = 3988 (t <= EM_MAX_T).  Halving it costs 1.3-1.7x in time at N = 2408
-# and 1.7-2.2x at N = 3988, where blocks get short (8192 nodes, 2 CPUs, with
-# cli.main's heap policy, best of 7 in two runs).
+# Bytes of the complex128 rows that one _dirichlet block may store (the
+# prime rows p <= N/2 and one row per depth of the walk, pi(N/2) +
+# floor(log2 N) per node), so the Dirichlet-sum working set is bounded for
+# every t and t_switch: 23,831 nodes per block (more than one _EVAL_CHUNK) at
+# N = 108 (Euler-Maclaurin, t <= 200), 7384 at N = 608 (t <= 1200) and 1680
+# at N = 3988 (t <= EM_MAX_T).  Halving it costs 1.33-1.37x in time at
+# N = 2412 and 1.2-1.5x at N = 3988 (8192 nodes, 2 CPUs, with cli.main's heap
+# policy, best of 7 in two rounds).
 DIRICHLET_BYTES = 8 << 20
 
 #: width in |t| of the buckets that share one Euler-Maclaurin truncation
@@ -126,14 +126,14 @@ class ZetaEvalConfig:
 DEFAULT_CONFIG = ZetaEvalConfig()
 
 
-def _least_prime_factors(limit: int) -> list[int]:
-    """lpf[n] = least prime factor of a composite n <= limit; 0 for 0, 1 and primes."""
-    lpf = np.zeros(limit + 1, dtype=np.int64)
+def _primes(limit: int) -> list[int]:
+    """The primes p <= limit, ascending."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
-        if not lpf[p]:
-            multiples = lpf[p * p :: p]
-            multiples[multiples == 0] = p
-    return lpf.tolist()
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
 
 
 def _cis(phase: np.ndarray, scale=1.0) -> np.ndarray:
@@ -159,64 +159,88 @@ def _dirichlet(ts, N) -> np.ndarray:
     """S_j = sum_{n <= N_j} n^(-1/2 - i t_j) for each node; N is a scalar or
     one bound per node (a bound of 0 gives 0).
 
-    Rows are n^(-1/2 - it) over the nodes, formed in ascending n.  A prime
-    row costs one tangent of t * (-log n) / 2 (_cis); a composite row is the
-    product of the rows of p and n // p, p its least prime factor (n^(-s) is
-    completely multiplicative).  Only rows n <= N/2 are read as factors, and
-    each is dropped after the last row that reads it.  Nodes are sorted by N
-    once, and row n covers only the suffix of nodes with N_j >= n.  Every
+    Rows are n^(-1/2 - it) over the nodes.  A prime row costs one tangent of
+    t * (-log n) / 2 (_cis); a composite row n = q p, p = P(n) its largest
+    prime factor, is the product of the rows of q and p (n^(-s) is completely
+    multiplicative), formed in the depth-first order of _smooth_walk.  So a
+    block stores only the prime rows p <= N/2 and at most floor(log2 N)
+    more, one per depth of the walk.  Nodes are sorted by N once, and
+    row n covers only the suffix of nodes with N_j >= n.  Each S_j adds its
+    primes in ascending order, then its composites in walk order, and every
     step is elementwise, so S_j depends on t_j and N_j alone.  Nodes go in
-    blocks whose rows n <= N/2 would fit in DIRICHLET_BYTES.
+    blocks whose stored rows fit in DIRICHLET_BYTES.
     """
     ts = np.asarray(ts, dtype=float)
     bounds = np.broadcast_to(np.asarray(N, dtype=np.int64), ts.shape)
     out = np.zeros(ts.shape, dtype=complex)
     order = np.argsort(bounds, kind="stable")
     top = int(bounds[order[-1]])
-    lpf = _least_prime_factors(top)
-    # a row whose last reader lies past a block's own top is kept to its end
-    last = _last_reads(lpf, top)
-    size = max(1, DIRICHLET_BYTES // (16 * (top // 2 + 1)))
+    primes = _primes(top)
+    walk = _smooth_walk(primes, top)
+    # rows a block may store: pi(top/2) + floor(log2 top), none for top <= 1
+    stored = sum(2 * p <= top for p in primes) + top.bit_length() - 1
+    size = max(1, DIRICHLET_BYTES // (16 * max(1, stored)))
     for lo in range(0, ts.size, size):
         idx = order[lo : lo + size]
-        out[idx] = _dirichlet_block(ts[idx], bounds[idx], lpf, last)
+        out[idx] = _dirichlet_block(ts[idx], bounds[idx], primes, walk)
     return out
 
 
-def _last_reads(lpf: list[int], top: int) -> list[int]:
-    """last[k], k <= top/2: the last n <= top whose row is a product with row
-    k (k = p or n // p for p = lpf[n]); every k >= 2 has one, 2k at least."""
-    last = [0] * (top // 2 + 1)
-    for n in range(4, top + 1):
-        p = lpf[n]
-        if p:
-            last[p] = last[n // p] = n
-    return last
+def _smooth_walk(primes: list[int], top: int) -> list[tuple[int, int, int, int, bool]]:
+    """Every composite n <= top once, depth first from the primes, as a flat
+    list of (n, q, p, depth, keep): n = q p with p = P(n), the children of q
+    are q p' for the primes p' >= P(q) in ascending order, depth is the
+    number of prime factors of n, and keep says that n has a child
+    (n P(n) <= top), so its row is read after it."""
+    walk = []
+
+    def visit(q: int, first: int, depth: int):
+        for i in range(first, len(primes)):
+            p = primes[i]
+            n = q * p
+            if n > top:
+                return
+            keep = n * p <= top
+            walk.append((n, q, p, depth, keep))
+            if keep:
+                visit(n, i, depth + 1)
+
+    for i, p in enumerate(primes):
+        if p * p > top:
+            break
+        visit(p, i, 2)
+    return walk
 
 
-def _dirichlet_block(ts: np.ndarray, bounds: np.ndarray, lpf: list[int],
-                     last: list[int]) -> np.ndarray:
-    """_dirichlet on nodes sorted by their bounds; last from _last_reads."""
+def _dirichlet_block(ts: np.ndarray, bounds: np.ndarray, primes: list[int],
+                     walk: list[tuple[int, int, int, int, bool]]) -> np.ndarray:
+    """_dirichlet on nodes sorted by their bounds; walk from _smooth_walk."""
     top = int(bounds[-1])
     # starts[n]: the first node whose bound reaches n
     starts = np.searchsorted(bounds, np.arange(top + 1)).tolist()
     total = (bounds >= 1).astype(complex)  # row 1 is 1
-    rows = [None] * (top // 2 + 1)
-    for n in range(2, top + 1):
-        start = starts[n]
-        p = lpf[n]
-        if p:
-            q = n // p
-            row = rows[p][start - starts[p] :] * rows[q][start - starts[q] :]
-            if last[p] == n:
-                rows[p] = None
-            if last[q] == n:
-                rows[q] = None
-        else:
-            row = _cis(ts[start:] * -math.log(n), n**-0.5)
+    factors = {}  # the prime rows p <= top/2
+    for p in primes:
+        if p > top:
+            break
+        start = starts[p]
+        row = _cis(ts[start:] * -math.log(p), p**-0.5)
         total[start:] += row
-        if n < len(rows):
-            rows[n] = row
+        if 2 * p <= top:
+            factors[p] = row
+        del row  # a row not stored is freed before the next one is formed
+    # slots[d]: the last kept row at depth d, read until its subtree is done
+    slots = [None] * top.bit_length()
+    for n, q, p, depth, keep in walk:
+        if n > top:
+            continue
+        start = starts[n]
+        parent = factors[q] if depth == 2 else slots[depth - 1]
+        row = parent[start - starts[q] :] * factors[p][start - starts[p] :]
+        total[start:] += row
+        if keep:
+            slots[depth] = row
+        del row
     return total
 
 
@@ -434,29 +458,6 @@ def zeta_abs_grid(
     _check_terms(ts, cfg)
     parts = [_eval_grid(ts[i : i + _EVAL_CHUNK], cfg) for i in range(0, ts.size, _EVAL_CHUNK)]
     return np.concatenate(parts) if parts else np.empty_like(ts)
-
-
-def zeta_abs(t: float, cfg: ZetaEvalConfig = DEFAULT_CONFIG) -> float:
-    """|zeta(1/2+it)| at a single point t >= 0."""
-    return float(zeta_abs_grid(np.array([float(t)]), cfg)[0])
-
-
-def ingham_main_term(T: float) -> float:
-    """Main term of the second moment on [0, T]: T log(T/2pi) + (2g-1) T."""
-    if not T > 0:
-        raise ValueError("T must be positive")
-    return T * math.log(T / (2 * math.pi)) + (2 * EULER_GAMMA - 1) * T
-
-
-def fourth_moment_leading_term(T: float) -> float:
-    """Leading term of the fourth moment on [0, T]: T log^4(T) / (2 pi^2).
-
-    Leading order only; the full degree-4 polynomial in log T is not modeled,
-    so use this as a comparator, not a prediction.
-    """
-    if not T > 1:
-        raise ValueError("T must exceed 1")
-    return T * math.log(T) ** 4 / (2 * math.pi**2)
 
 
 @dataclass(frozen=True)

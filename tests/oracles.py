@@ -12,7 +12,9 @@ the hook length of every cell, the partition oracle sorts the parts of every
 composition, the distribution oracles sum per-entry generators over (value,
 weight) pairs, the Simpson oracle builds its nodes and weights one by one and
 sums them with math.fsum, and the CSV oracle reads every file through
-csv.reader one row at a time.
+csv.reader one row at a time.  The functions at the end are not oracles:
+they compute quantities that no command reports, for the tests that check
+them.
 """
 
 import csv
@@ -30,9 +32,10 @@ from momenttail.moments import (
     DistributionFormatError,
     EmpiricalDistribution,
     InvalidEntryError,
+    _tail_sums,
 )
 from momenttail.skewdet import SkewSignMatrix
-from momenttail.zeta import MomentEstimate, zeta_abs_grid
+from momenttail.zeta import DEFAULT_CONFIG, MomentEstimate, ZetaEvalConfig, zeta_abs_grid
 
 
 def zeta_abs_eta_oracle(t: float, terms: int = 10_000, averages: int = 40,
@@ -456,3 +459,60 @@ def load_distribution_csv_oracle(source: str | IO[str]) -> EmpiricalDistribution
         return EmpiricalDistribution(np.column_stack((values, weights)))
     except InvalidEntryError as exc:
         raise DistributionFormatError(lines[exc.index], str(exc)) from None
+
+
+# Not oracles: quantities that no `mtl` command reports.  tail_second_moment
+# goes through the package's own tail sums, the path verify_theorem takes.
+
+EULER_GAMMA = 0.5772156649015329
+
+
+class InconsistentMomentsError(ValueError):
+    """Raised when a supplied moment pair violates the Cauchy-Schwarz relation."""
+
+
+def zeta_abs(t: float, cfg: ZetaEvalConfig = DEFAULT_CONFIG) -> float:
+    """|zeta(1/2+it)| at a single point t >= 0."""
+    return float(zeta_abs_grid(np.array([float(t)]), cfg)[0])
+
+
+def ingham_main_term(T: float) -> float:
+    """Main term of the second moment on [0, T]: T log(T/2pi) + (2g-1) T."""
+    if not T > 0:
+        raise ValueError("T must be positive")
+    return T * math.log(T / (2 * math.pi)) + (2 * EULER_GAMMA - 1) * T
+
+
+def fourth_moment_leading_term(T: float) -> float:
+    """Leading term of the fourth moment on [0, T]: T log^4(T) / (2 pi^2).
+
+    Leading order only; the full degree-4 polynomial in log T is not modeled,
+    so use this as a comparator, not a prediction.
+    """
+    if not T > 1:
+        raise ValueError("T must exceed 1")
+    return T * math.log(T) ** 4 / (2 * math.pi**2)
+
+
+def tail_second_moment(dist: EmpiricalDistribution, b: float) -> float:
+    """Second-moment mass strictly above b: sum over v > b of w * v^2 / sum(w).
+
+    The threshold is strict, so atoms sitting exactly at b are excluded.
+    The sum is exactly rounded, the same float as math.fsum of the terms.
+    """
+    return _tail_sums(dist, [b])[0] / dist.total_weight
+
+
+def max_lower_bound(m1: float, m2: float) -> float:
+    """Existence bound max >= m2 / m1 from a first and second moment.
+
+    Requires m1 > 0 and m2 >= m1^2 (any real distribution satisfies the
+    latter); a pair violating it is not a moment pair.
+    """
+    if m1 <= 0:
+        raise ValueError("first moment must be positive")
+    if m2 < m1 * m1 * (1.0 - 1e-12):
+        raise InconsistentMomentsError(
+            f"m2 = {m2} < m1^2 = {m1 * m1}: not a legal moment pair"
+        )
+    return m2 / m1

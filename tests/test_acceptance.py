@@ -33,15 +33,20 @@ from momenttail.symchar import (
     second_moment_degree_bound,
 )
 from momenttail.zeta import (
-    ingham_main_term,
     moment_integral,
     tail_moment_report,
-    zeta_abs,
     zeta_abs_euler_maclaurin,
     zeta_abs_riemann_siegel,
 )
 
-from oracles import det_exact, pfaffian_exact, skew_from_bits, zeta_abs_eta_oracle
+from oracles import (
+    det_exact,
+    ingham_main_term,
+    pfaffian_exact,
+    skew_from_bits,
+    zeta_abs,
+    zeta_abs_eta_oracle,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -16,21 +16,21 @@ from momenttail.moments import (
     DegenerateDistributionError,
     DistributionFormatError,
     EmpiricalDistribution,
-    InconsistentMomentsError,
     load_distribution_csv,
-    max_lower_bound,
     moment,
     normalize,
-    tail_second_moment,
     verify_theorem,
 )
 from momenttail.numutil import to_json
 from oracles import (
+    InconsistentMomentsError,
     load_distribution_csv_oracle,
+    max_lower_bound,
     mean_oracle,
     moment_oracle,
     normalize_oracle,
     rejection_oracle,
+    tail_second_moment,
     tail_second_moment_oracle,
     total_weight_oracle,
 )

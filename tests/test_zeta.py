@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -16,20 +17,19 @@ from momenttail.moments import moment
 from momenttail.zeta import (
     COEFF_LOW,
     COEFF_HIGH,
-    EULER_GAMMA,
     ZetaEvalConfig,
-    fourth_moment_leading_term,
-    ingham_main_term,
     moment_integral,
     riemann_siegel_theta,
     tail_moment_report,
-    zeta_abs,
     zeta_abs_euler_maclaurin,
     zeta_abs_grid,
     zeta_abs_riemann_siegel,
 )
 
 from oracles import (
+    EULER_GAMMA,
+    fourth_moment_leading_term,
+    ingham_main_term,
     psi_mp,
     psi_sinc,
     rs_correction_fit,
@@ -37,12 +37,24 @@ from oracles import (
     second_correction_mp,
     simpson_halving_estimate,
     trapezoid_moment,
+    zeta_abs,
     zeta_abs_em_exp_outer,
     zeta_abs_em_oracle,
     zeta_abs_eta_oracle,
 )
 
 FIRST_ZERO = 14.134725142
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 2 with multiplicity, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 class TestConfig:
@@ -320,26 +332,56 @@ class TestDirichletKernel:
                       for p, g in zip(phases.tolist(), got.tolist()))
         assert err <= 4e-16 * scale
 
-    def test_dropped_rows_change_no_bit(self):
-        # a row dropped after its last reader against every row kept to the end
-        ts = np.concatenate((np.linspace(0.0, 7960.0, 301), [14.1, 1e6, 3e7]))
-        bounds = np.concatenate((zeta._em_terms(ts[:301]), [16, 398, 2185]))
-        dropped = zeta._dirichlet(ts, bounds)
-        with mock.patch.object(zeta, "_last_reads", lambda lpf, top: [0] * (top // 2 + 1)):
-            kept = zeta._dirichlet(ts, bounds)
-        assert dropped.tolist() == kept.tolist()
-
-    def test_last_reads_against_trial_division(self):
+    def test_smooth_walk_against_trial_division(self):
         top = 1000
-        lpf = zeta._least_prime_factors(top)
-        last = [0] * (top // 2 + 1)
-        for n in range(2, top + 1):
-            p = next(d for d in range(2, n + 1) if n % d == 0)
-            if p < n:
-                last[p] = max(last[p], n)
-                last[n // p] = max(last[n // p], n)
-        assert zeta._last_reads(lpf, top) == last
-        assert all(last[k] >= 2 * k for k in range(2, top // 2 + 1))
+        factors = {n: _prime_factors(n) for n in range(2, top + 1)}
+        primes = zeta._primes(top)
+        assert primes == [n for n, f in factors.items() if len(f) == 1]
+        walk = zeta._smooth_walk(primes, top)
+        # every composite exactly once
+        assert sorted(n for n, *_ in walk) == [n for n, f in factors.items() if len(f) > 1]
+        done = set(primes)
+        for n, q, p, depth, keep in walk:
+            assert (q * p, p, depth) == (n, max(factors[n]), len(factors[n]))
+            assert q in done  # the parent's row is formed first
+            assert keep == (n * p <= top)
+            done.add(n)
+
+    @pytest.mark.parametrize("top", [28, 112, 608, 1000, 3988, 3989])
+    def test_stored_rows_within_the_block_bound(self, top):
+        # pi(top/2) + floor(log2 top), by trial division
+        bound = sum(len(_prime_factors(n)) == 1 for n in range(2, top // 2 + 1))
+        bound += math.floor(math.log2(top))
+        size = zeta.DIRICHLET_BYTES // (16 * bound)
+        # one full block over bounds from 0 to top, then one node alone
+        bounds = np.sort(np.random.default_rng(top).integers(0, top + 1, size + 1))
+        bounds[-2:] = top
+        ts = np.linspace(10.0, 5000.0, size + 1)
+        block, blocks, most = zeta._dirichlet_block, [], 0
+
+        def recorded(ts, bounds, *rest):
+            blocks.append(len(ts))
+            return block(ts, bounds, *rest)
+
+        def count(frame, event, arg):
+            # the rows a block stores: its prime factor rows and depth slots
+            nonlocal most
+            names = frame.f_locals
+            stored = len(names.get("factors", ()))
+            stored += sum(row is not None for row in names.get("slots", ()))
+            most = max(most, stored)
+            return count
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     count if frame.f_code is block.__code__ else None)
+        try:
+            with mock.patch.object(zeta, "_dirichlet_block", recorded):
+                zeta._dirichlet(ts, bounds)
+        finally:
+            sys.settrace(previous)
+        assert blocks == [size, 1]
+        assert 0 < most <= bound
 
     def test_per_node_bounds(self):
         ts = np.array([5.0, 120.0, 0.3, 60.0, 7.5])
@@ -455,10 +497,10 @@ class TestDirichletKernel:
         assert peak < 12 * 2**20
 
     def test_em_heavy_grid_memory(self):
-        # the 8001-node halved grid of an EM-heavy window: each factor row is
-        # dropped after the last row that reads it. Kept rows read 6.9 MB and
-        # dropped rows 4.9 MB; the bound sits between them, with about 1 MB
-        # of room above the dropped-row peak for allocation changes elsewhere
+        # the 8001-node halved grid of an EM-heavy window (N <= 112): a block
+        # stores at most pi(N/2) + floor(log2 N) = 22 rows.  A kernel that
+        # stores each factor row n <= N/2 until its last reader peaks at
+        # 4.9 MB here, and the walk at 3.2 MB; the bound sits between them
         cfg = ZetaEvalConfig(t_switch=200.0)
         tracemalloc.start()
         try:
@@ -466,7 +508,20 @@ class TestDirichletKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.9e6
+        assert peak < 4.0e6
+
+    def test_rs_grid_memory(self):
+        # a tail window's 20,001 Riemann-Siegel nodes at N = 27..30, in
+        # chunks of 8192: a kernel that stores each factor row n <= N/2 until
+        # its last reader peaks at 3.06 MB here, and the walk at 2.40 MB; the
+        # bound sits between them
+        tracemalloc.start()
+        try:
+            zeta_abs_grid(4800.0 + 0.05 * np.arange(20001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7e6
 
 
 class TestMainTerms:
