@@ -61,12 +61,6 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def _zeta_cfg(args) -> zeta.ZetaEvalConfig:
-    return zeta.ZetaEvalConfig(
-        t_switch=args.t_switch, rs_correction_terms=args.rs_terms
-    )
-
-
 def _cmd_theorem_check(args):
     return moments.verify_theorem(moments.load_distribution_csv(args.input), args.b or [])
 
@@ -77,7 +71,7 @@ def _cmd_zeta_moments(args):
         args.H,
         args.k,
         step=args.step,
-        cfg=_zeta_cfg(args),
+        t_switch=args.t_switch,
         convergence_check=not args.no_convergence_check,
         threads=args.threads,
     )
@@ -89,7 +83,7 @@ def _cmd_zeta_tail(args):
         args.H,
         c_threshold=args.c_threshold,
         step=args.step,
-        cfg=_zeta_cfg(args),
+        t_switch=args.t_switch,
         threads=args.threads,
     )
 
@@ -215,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
         pz.add_argument("--T", type=float, required=True)
         pz.add_argument("--H", type=float, required=True)
         pz.add_argument("--step", type=float, default=0.05)
-        pz.add_argument("--t-switch", dest="t_switch", type=float, default=50.0)
-        pz.add_argument("--rs-terms", dest="rs_terms", type=int, default=2,
-                        choices=(0, 1, 2))
+        pz.add_argument("--t-switch", dest="t_switch", type=float, default=zeta.T_SWITCH,
+                        help=f"|zeta| route switch (default {zeta.T_SWITCH:g}): Euler-Maclaurin "
+                        "at t <= t_switch, Riemann-Siegel above")
         if name == "moments":
             pz.add_argument("--k", type=int, required=True, choices=(2, 4))
             pz.add_argument("--no-convergence-check", action="store_true")

@@ -35,7 +35,7 @@ from momenttail.moments import (
     _tail_sums,
 )
 from momenttail.skewdet import SkewSignMatrix
-from momenttail.zeta import DEFAULT_CONFIG, MomentEstimate, ZetaEvalConfig, zeta_abs_grid
+from momenttail.zeta import T_SWITCH, MomentEstimate, zeta_abs_grid
 
 
 def zeta_abs_eta_oracle(t: float, terms: int = 10_000, averages: int = 40,
@@ -471,9 +471,9 @@ class InconsistentMomentsError(ValueError):
     """Raised when a supplied moment pair violates the Cauchy-Schwarz relation."""
 
 
-def zeta_abs(t: float, cfg: ZetaEvalConfig = DEFAULT_CONFIG) -> float:
+def zeta_abs(t: float, t_switch: float = T_SWITCH) -> float:
     """|zeta(1/2+it)| at a single point t >= 0."""
-    return float(zeta_abs_grid(np.array([float(t)]), cfg)[0])
+    return float(zeta_abs_grid(np.array([float(t)]), t_switch)[0])
 
 
 def ingham_main_term(T: float) -> float:

@@ -218,7 +218,7 @@ def test_criterion_8_evaluator_accuracy():
     gap = float(
         np.max(
             np.abs(
-                zeta_abs_euler_maclaurin(ts) - zeta_abs_riemann_siegel(ts, 2)
+                zeta_abs_euler_maclaurin(ts) - zeta_abs_riemann_siegel(ts)
             )
         )
     )

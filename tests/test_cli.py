@@ -163,6 +163,17 @@ class TestFlagHandling:
             cli.main(["theorem", "check", "--input", dist_csv, "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "tail", "--T", "100", "--H", "10", "--step", "0.5"],
+        ["zeta", "moments", "--T", "10", "--H", "5", "--k", "2"],
+    ], ids=["tail", "moments"])
+    def test_rs_terms_is_not_a_flag(self, argv):
+        # Riemann-Siegel always adds both corrections; t_switch is the only setting
+        code, out, err = _fresh_interpreter(argv + ["--rs-terms", "1"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --rs-terms 1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

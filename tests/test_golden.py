@@ -66,7 +66,7 @@ CASES = {
                          "--threads", "2", "--no-convergence-check"], False),
     "zeta-tail": (["zeta", "tail", "--T", "500", "--H", "50"], False),
     "zeta-tail-high": (["zeta", "tail", "--T", "200", "--H", "40", "--step", "0.1",
-                        "--c-threshold", str(1 / (2 * math.pi)), "--rs-terms", "1"], False),
+                        "--c-threshold", str(1 / (2 * math.pi))], False),
     "skewdet-enum": (["skewdet", "enum", "--n", "4"], True),
     "skewdet-enum-odd": (["skewdet", "enum", "--n", "3"], True),
     "skewdet-enum-unit": (["skewdet", "enum", "--n", "5", "--convention", "unit"], True),

@@ -1,6 +1,7 @@
 """Tests for the |zeta| evaluators, moment quadrature and tail reports."""
 
 import dataclasses
+import inspect
 import math
 import sys
 import tracemalloc
@@ -17,7 +18,6 @@ from momenttail.moments import moment
 from momenttail.zeta import (
     COEFF_LOW,
     COEFF_HIGH,
-    ZetaEvalConfig,
     moment_integral,
     riemann_siegel_theta,
     tail_moment_report,
@@ -58,23 +58,27 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class TestConfig:
+    """t_switch is the evaluator's one setting, checked before any node."""
+
     def test_defaults(self):
-        cfg = ZetaEvalConfig()
-        assert cfg.t_switch == 50.0
-        assert cfg.rs_correction_terms == 2
+        assert zeta.T_SWITCH == 50.0
+        for fn in (zeta_abs_grid, moment_integral, tail_moment_report):
+            assert inspect.signature(fn).parameters["t_switch"].default == zeta.T_SWITCH
 
-    def test_rejects_bad_corrections(self):
-        with pytest.raises(ValueError):
-            ZetaEvalConfig(rs_correction_terms=3)
-
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_switch(self):
-        with pytest.raises(ValueError):
-            ZetaEvalConfig(t_switch=0.0)
+        with mock.patch.object(zeta, "_dirichlet", side_effect=AssertionError("evaluated")):
+            with pytest.raises(ValueError) as err:
+                zeta_abs_grid([10.0, 100.0], t_switch=0.0)
+        assert str(err.value) == "t_switch must be positive"
 
     @pytest.mark.parametrize("t_switch", [math.nan, math.inf])
+    @pytest.mark.filterwarnings("error")
     def test_rejects_non_finite_switch(self, t_switch):
-        with pytest.raises(ValueError, match="t_switch must be finite"):
-            ZetaEvalConfig(t_switch=t_switch)
+        with mock.patch.object(zeta, "_dirichlet", side_effect=AssertionError("evaluated")):
+            with pytest.raises(ValueError) as err:
+                zeta_abs_grid([10.0, 100.0], t_switch=t_switch)
+        assert str(err.value) == f"t_switch must be finite, got {t_switch}"
 
 
 @pytest.mark.parametrize("name", ["T", "H", "step"])
@@ -100,8 +104,6 @@ def _estimate(**changes):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: zeta_abs_euler_maclaurin([1.0], n_terms=0), "n_terms must be positive"),
-    (lambda: zeta_abs_riemann_siegel([100.0], correction_terms=3),
-     "correction_terms must be 0, 1 or 2"),
     (lambda: zeta_abs_riemann_siegel([100.0, 0.0]), "Riemann-Siegel route needs t > 0"),
     (lambda: ingham_main_term(0.0), "T must be positive"),
     (lambda: fourth_moment_leading_term(1.0), "T must exceed 1"),
@@ -145,7 +147,7 @@ def _estimate(**changes):
     (lambda: zeta_abs_riemann_siegel([1e30]),
      "t = 1e+30 is too large for the Riemann-Siegel route: it accepts t < 1.00029e+08 "
      "(3989 Dirichlet terms)"),
-], ids=["em-n-terms", "rs-correction-terms", "rs-t-zero", "ingham-T0", "fourth-T1",
+], ids=["em-n-terms", "rs-t-zero", "ingham-T0", "fourth-T1",
         "estimate-k", "estimate-H", "estimate-nodes", "estimate-value", "moments-T-negative",
         "moments-k3", "tail-H0", "tail-step-H", "em-nan", "em-inf", "em-node-then-nan",
         "em-t-past-cap", "em-n-terms-past-cap", "em-n-terms-below-2t-1e5",
@@ -212,10 +214,21 @@ class TestEvaluator:
             ref = float(abs(mp.zeta(mp.mpc(0.5, 1e6))))
         assert zeta_abs(1e6) == pytest.approx(ref, abs=1e-3)
 
+    def test_rs_error_model_against_mpmath(self):
+        # with both corrections the error stays within 6e-4 (t/40)^(-5/4) up
+        # to about t = 1e5; three random t per decade from the crossover
+        rng = np.random.default_rng(40)
+        ts = np.concatenate([rng.uniform(lo, hi, 3)
+                             for lo, hi in ((40, 100), (100, 1e3), (1e3, 1e4), (1e4, 1e5))])
+        with mp.workdps(30):
+            ref = np.array([float(abs(mp.zeta(mp.mpc(0.5, t)))) for t in ts.tolist()])
+        err = np.abs(zeta_abs_riemann_siegel(ts) - ref)
+        assert np.all(err <= 6e-4 * (ts / 40) ** -1.25)
+
     def test_methods_agree_on_crossover_band(self):
         ts = np.arange(40.0, 60.0001, 0.037)
         em = zeta_abs_euler_maclaurin(ts)
-        rs = zeta_abs_riemann_siegel(ts, correction_terms=2)
+        rs = zeta_abs_riemann_siegel(ts)
         assert float(np.max(np.abs(em - rs))) <= 2e-3
 
     def test_psi_branches_evaluated_on_their_own_halves(self):
@@ -248,13 +261,12 @@ class TestEvaluator:
         assert [zeta_abs(float(t)) for t in ts] == grid.tolist()
 
     def test_dirichlet_length_capped_on_both_routes(self):
-        wide = ZetaEvalConfig(t_switch=1e4)
         # 7960 is the last EM bucket within DIRICHLET_MAX_TERMS terms
         assert zeta.EM_MAX_T == 7960
         assert zeta._em_terms(np.array([7960.0, 7960.5])).tolist() == [3988, 3992]
-        assert zeta_abs_grid([7960.0], wide)[0] > 0
+        assert zeta_abs_grid([7960.0], t_switch=1e4)[0] > 0
         with pytest.raises(ValueError, match=r"Euler-Maclaurin route: it accepts t <= 7960 "):
-            zeta_abs_grid([10.0, 7960.5], wide)
+            zeta_abs_grid([10.0, 7960.5], t_switch=1e4)
         # the last RS node with floor(sqrt(t/2pi)) = 3989 terms
         last = 2 * math.pi * 3990**2 - 1
         assert math.floor(math.sqrt(last / (2 * math.pi))) == zeta.DIRICHLET_MAX_TERMS
@@ -284,8 +296,11 @@ class TestDirichletKernel:
 
     def test_rs_against_masked_loop(self):
         ts = np.linspace(10.0, 5000.0, 20001)
-        main = rs_main_sum_masked(ts, riemann_siegel_theta(ts))
-        diff = zeta_abs_riemann_siegel(ts, correction_terms=0) - np.abs(main)
+        th = riemann_siegel_theta(ts)
+        N = np.floor(np.sqrt(ts / (2 * math.pi))).astype(np.int64)
+        # the main sum as zeta_abs_riemann_siegel forms it, before its corrections
+        main = 2.0 * (zeta._cis(th) * zeta._dirichlet(ts, N)).real
+        diff = main - rs_main_sum_masked(ts, th)
         assert float(np.max(np.abs(diff))) <= 1e-10
 
     @pytest.mark.parametrize("t", [0.1, 14.134725142, 77.7, 199.0, 200.0, 500.0, 1000.0,
@@ -478,10 +493,9 @@ class TestDirichletKernel:
            st.lists(st.floats(min_value=2 * math.pi, max_value=500.0), max_size=10))
     def test_rs_nodes_below_2pi_have_empty_main_sum(self, low, high):
         ts = low + high
-        assert zeta_abs_riemann_siegel(low, correction_terms=0).tolist() == [0.0] * len(low)
-        for k in (0, 1, 2):
-            mixed = zeta_abs_riemann_siegel(ts, correction_terms=k)
-            assert mixed.tolist() == [zeta_abs_riemann_siegel([t], k)[0] for t in ts]
+        assert zeta._dirichlet(low, 0).tolist() == [0.0] * len(low)
+        mixed = zeta_abs_riemann_siegel(ts)
+        assert mixed.tolist() == [zeta_abs_riemann_siegel([t])[0] for t in ts]
 
     def test_em_memory_bounded_near_t1000(self):
         # 8001 nodes at N up to 608: a (nodes x N) complex128 temporary would
@@ -501,10 +515,9 @@ class TestDirichletKernel:
         # stores at most pi(N/2) + floor(log2 N) = 22 rows.  A kernel that
         # stores each factor row n <= N/2 until its last reader peaks at
         # 4.9 MB here, and the walk at 3.2 MB; the bound sits between them
-        cfg = ZetaEvalConfig(t_switch=200.0)
         tracemalloc.start()
         try:
-            moment_integral(0.5, 200.0, 2, cfg=cfg)
+            moment_integral(0.5, 200.0, 2, t_switch=200.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
